@@ -7,7 +7,7 @@
 //! |------|-----------|-----------|-------|---------|--------------|
 //! | `crates/vm`, `crates/games` | ✓ | ✓ | ✓ | ✓ | ✓ |
 //! | `crates/sync` (state paths) | ✓ | ✓ | ✓ | ✓ | ✓ |
-//! | `crates/rollback` | ✓ | ✓ | ✓ | ✓ | ✓ |
+//! | `crates/rollback` (re-exports) | ✓ | ✓ | ✓ | ✓ | ✓ |
 //! | `crates/sync/src/{rtt,stats}.rs` | ✓ | – | – | ✓ | ✓ |
 //! | `crates/clock`, `crates/net` | – | – | – | ✓* | – |
 //! | everything else scanned | ✓† | – | – | ✓ | – |
@@ -23,14 +23,17 @@
 //! |------|-----------|-----------------|-----------|
 //! | wire codecs (`net/bytes`, `lobby/wire`, `sync/wire`, `relay/wire`) | ✓ | ✓ | – |
 //! | transport (`net/{udp,sim,transport,netem}`, `lobby/{server,client,lib}`, `relay/{server,client,udp,lib}`) | ✓ | – | – |
-//! | hot path (`rollback/src/*`, `vm/{cpu,predecode,console,audio,dirty}`, `sync/sync_input`, `relay/server`) | ✓ | – | ✓‡ |
+//! | hot path (`rollback/src/*`, `sync/{driver,snapshot,delta,pool,predict,sync_input}`, `vm/{cpu,predecode,console,audio,dirty}`, `relay/server`) | ✓ | – | ✓‡ |
 //!
 //! ‡ `hot_alloc` applies to exactly the modules PRs 4–5 made alloc-free
 //! plus the relay's per-datagram fan-out, the frame-step path headless
 //! resimulation runs through, and the dirty-page bitmap every checkpoint
 //! and rollback walks:
-//! `rollback/{snapshot,delta,session}.rs`, `vm/{cpu,predecode,console,audio,dirty}.rs`,
-//! `sync/sync_input.rs`, `relay/src/server.rs`. Wire/transport code must be
+//! `sync/{driver,snapshot,delta,sync_input}.rs`, `vm/{cpu,predecode,console,audio,dirty}.rs`,
+//! `relay/src/server.rs`. The snapshot ring, its codec and pool, the
+//! predictor, and the session driver moved from `crates/rollback` into
+//! `crates/sync` when lockstep and rollback became one driver; they kept
+//! their fences at the new paths. Wire/transport code must be
 //! panic-free on arbitrary bytes (typed errors only); hot-path panics and
 //! constructor allocations carry `allow(...) -- <reason>` waivers.
 //! `#[cfg(test)]` regions are exempt from the zone rules but not the
@@ -78,7 +81,12 @@ fn hot_panic_zone(rel: &str) -> bool {
     rel.starts_with("crates/rollback/src/")
         || matches!(
             rel,
-            "crates/vm/src/cpu.rs"
+            "crates/sync/src/driver.rs"
+                | "crates/sync/src/snapshot.rs"
+                | "crates/sync/src/delta.rs"
+                | "crates/sync/src/pool.rs"
+                | "crates/sync/src/predict.rs"
+                | "crates/vm/src/cpu.rs"
                 | "crates/vm/src/predecode.rs"
                 | "crates/vm/src/console.rs"
                 | "crates/vm/src/audio.rs"
@@ -92,9 +100,9 @@ fn hot_panic_zone(rel: &str) -> bool {
 fn hot_alloc_zone(rel: &str) -> bool {
     matches!(
         rel,
-        "crates/rollback/src/snapshot.rs"
-            | "crates/rollback/src/delta.rs"
-            | "crates/rollback/src/session.rs"
+        "crates/sync/src/snapshot.rs"
+            | "crates/sync/src/delta.rs"
+            | "crates/sync/src/driver.rs"
             | "crates/vm/src/cpu.rs"
             | "crates/vm/src/predecode.rs"
             | "crates/vm/src/console.rs"
@@ -188,9 +196,10 @@ mod tests {
             "crates/vm/src/cpu.rs",
             "crates/vm/src/predecode.rs",
             "crates/games/src/pong.rs",
-            "crates/rollback/src/session.rs",
-            "crates/rollback/src/snapshot.rs",
-            "crates/rollback/src/delta.rs",
+            "crates/rollback/src/lib.rs",
+            "crates/sync/src/driver.rs",
+            "crates/sync/src/snapshot.rs",
+            "crates/sync/src/delta.rs",
         ] {
             let rules = rules_for(rel);
             for r in Rule::DETERMINISM {
@@ -242,10 +251,7 @@ mod tests {
     fn snapshot_fast_path_is_deterministic_core() {
         // The delta codec and buffer pool rebuild state bytes during
         // rollback repair; every determinism rule applies to them.
-        for rel in [
-            "crates/rollback/src/delta.rs",
-            "crates/rollback/src/pool.rs",
-        ] {
+        for rel in ["crates/sync/src/delta.rs", "crates/sync/src/pool.rs"] {
             let rules = rules_for(rel);
             for r in Rule::DETERMINISM {
                 assert!(rules.contains(&r), "{rel} missing {r:?}");
@@ -302,9 +308,9 @@ mod tests {
     #[test]
     fn hot_path_modules_carry_the_alloc_fence() {
         for rel in [
-            "crates/rollback/src/snapshot.rs",
-            "crates/rollback/src/delta.rs",
-            "crates/rollback/src/session.rs",
+            "crates/sync/src/snapshot.rs",
+            "crates/sync/src/delta.rs",
+            "crates/sync/src/driver.rs",
             "crates/vm/src/cpu.rs",
             "crates/vm/src/predecode.rs",
             "crates/vm/src/console.rs",
@@ -318,8 +324,10 @@ mod tests {
         // The rollback pool/predictor are panic-fenced but not alloc-fenced
         // (the pool's whole job is owning allocations), and the VM's
         // assembler/framebuffer are outside both zones.
-        assert!(has("crates/rollback/src/pool.rs", Rule::PanicPath));
-        assert!(!has("crates/rollback/src/pool.rs", Rule::HotAlloc));
+        for rel in ["crates/sync/src/pool.rs", "crates/sync/src/predict.rs"] {
+            assert!(has(rel, Rule::PanicPath), "{rel}");
+            assert!(!has(rel, Rule::HotAlloc), "{rel}");
+        }
         assert!(!has("crates/vm/src/assembler.rs", Rule::PanicPath));
         assert!(!has("crates/vm/src/assembler.rs", Rule::HotAlloc));
     }

@@ -1,36 +1,14 @@
-//! **coplay-rollback** — predicted-input rollback netcode as an alternative
-//! to lockstep stalls.
+//! **coplay-rollback** — the rollback netcode names, re-exported.
 //!
-//! The paper's lockstep core (`coplay-sync`) buys logical consistency by
-//! *waiting*: a frame executes only when every site's input for it has
-//! arrived, so an RTT spike longer than the local-lag budget freezes every
-//! replica. This crate trades that freeze for speculation:
-//!
-//! * [`RollbackSession`] executes frames immediately, substituting
-//!   *predicted* inputs (an [`InputPredictor`], default [`RepeatLast`]) for
-//!   remote partials that have not arrived yet.
-//! * A [`SnapshotRing`] keeps periodic machine-state checkpoints, stored
-//!   as one full newest-state image plus XOR/RLE back-[`delta`]s over
-//!   pooled buffers. Captures and deltas are guided by the machine's
-//!   dirty-page bitmaps (`Machine::save_state_dirty_into`), so the
-//!   steady-state checkpoint path scans and copies only the pages a
-//!   frame actually wrote. When a late authoritative input contradicts a
-//!   prediction, the session rewinds the ring to the checkpoint at or
-//!   before the mispredicted frame, patches the machine's divergent
-//!   pages (`Machine::load_state_dirty`), and resimulates to the present
-//!   — invisible to the game, which only ever sees `step_frame` and
-//!   `load_state`.
-//! * Speculation is bounded: past `max_rollback_frames` beyond the
-//!   confirmed-input frontier the session degrades to lockstep-style
-//!   blocking, keeping worst-case repair cost and checkpoint memory fixed.
-//!
-//! The session mirrors the lockstep driver's API (`new`/`tick`/`pump`/
-//! `stop`/`stats`, the same [`Step`](coplay_sync::Step)/
-//! [`FrameReport`](coplay_sync::FrameReport) shapes, the same wire
-//! protocol) and implements [`SessionDriver`](coplay_sync::SessionDriver),
-//! so `run_realtime` and the discrete-event simulator drive either
-//! interchangeably — pick the mode per site via
-//! [`ConsistencyMode`](coplay_sync::ConsistencyMode) in `SyncConfig`.
+//! Rollback is not a second driver: it is `coplay-sync`'s one session
+//! driver run with a positive speculation window. [`RollbackSession`] is an
+//! alias of [`coplay_sync::Session`], which reads the window and the
+//! checkpoint cadence from
+//! [`ConsistencyMode::Rollback`](coplay_sync::ConsistencyMode), predicts
+//! missing remote inputs with an [`InputPredictor`], and repairs
+//! mispredictions from a [`SnapshotRing`]. The driver's module docs and
+//! DESIGN.md §5a describe how. This crate keeps the names importable from
+//! their historical home.
 //!
 //! # Examples
 //!
@@ -63,15 +41,8 @@
 
 #![warn(missing_docs)]
 
-pub mod delta;
-mod pool;
-mod predict;
-mod session;
-mod snapshot;
-
-pub use pool::{BufferPool, PoolStats};
-pub use predict::{AssumeIdle, InputPredictor, RepeatLast};
-pub use session::RollbackSession;
-pub use snapshot::{
-    CheckpointInfo, CheckpointReport, CompressionStats, RestoreError, SnapshotRing,
+pub use coplay_sync::delta;
+pub use coplay_sync::{
+    AssumeIdle, BufferPool, CheckpointInfo, CheckpointReport, CompressionStats, InputPredictor,
+    PoolStats, RepeatLast, RestoreError, RollbackSession, SnapshotRing,
 };

@@ -1,7 +1,7 @@
 //! The paper's testbed in software: two (or more) gaming sites, a Netem box
 //! between them, and a LAN time server — all in deterministic virtual time.
 //!
-//! [`Experiment`] wires `LockstepSession`s over a [`SimNetwork`], runs the
+//! [`Experiment`] wires session sites over a [`SimNetwork`], runs the
 //! configured number of frames, and computes exactly the statistics of §4:
 //! Series 1 (per-site average frame time and average deviation — Figure 1)
 //! and Series 2 (average absolute inter-site frame-begin difference —
@@ -15,10 +15,8 @@ use std::rc::Rc;
 use coplay_clock::{Clock, EventId, EventQueue, SimDuration, SimTime, TimeServer, VirtualClock};
 use coplay_games::GameId;
 use coplay_net::{JitterDistribution, NetemConfig, PeerId, SimNetwork, SimSocket, Transport};
-use coplay_rollback::RollbackSession;
 use coplay_sync::{
-    ConsistencyMode, LockstepSession, Message, RandomPresser, SessionStats, Step, SyncConfig,
-    SyncError,
+    ConsistencyMode, Message, RandomPresser, Session, SessionStats, Step, SyncConfig, SyncError,
 };
 use coplay_telemetry::{EventKind, Telemetry};
 use coplay_vm::{Machine, Player};
@@ -230,42 +228,9 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// One site's session under either consistency mode. Both speak the same
-/// wire protocol; the harness only needs a common driving surface.
-// A handful of these exist per experiment and live for its whole run, so
-// the variant size gap is not worth an extra indirection on every tick.
-#[allow(clippy::large_enum_variant)]
-enum Site {
-    Lockstep(LockstepSession<Box<dyn Machine>, SimSocket, RandomPresser>),
-    Rollback(RollbackSession<Box<dyn Machine>, SimSocket, RandomPresser>),
-}
-
-impl Site {
-    fn tick(&mut self, now: SimTime) -> Result<Step, SyncError> {
-        match self {
-            Site::Lockstep(s) => s.tick(now),
-            Site::Rollback(s) => s.tick(now),
-        }
-    }
-
-    fn stats(&self) -> SessionStats {
-        match self {
-            Site::Lockstep(s) => s.stats(),
-            Site::Rollback(s) => s.stats(),
-        }
-    }
-
-    fn config(&self) -> &SyncConfig {
-        match self {
-            Site::Lockstep(s) => s.config(),
-            Site::Rollback(s) => s.config(),
-        }
-    }
-}
-
 struct SiteRunner {
     site_no: u8,
-    session: Site,
+    session: Session<Box<dyn Machine>, SimSocket, RandomPresser>,
     pending_wake: Option<EventId>,
     frames_done: u64,
     /// Authoritative per-frame hashes: every executed frame's hash for a
@@ -367,7 +332,14 @@ impl Experiment {
             } else if cfg.telemetry {
                 sync_cfg.telemetry = Telemetry::recording();
             }
-            sync_cfg.consistency = cfg.consistency;
+            // Observers execute only confirmed frames: they have no input
+            // of their own to speculate past, and only a lockstep site
+            // can join from a snapshot.
+            sync_cfg.consistency = if is_observer {
+                ConsistencyMode::Lockstep
+            } else {
+                cfg.consistency
+            };
 
             let machine = cfg.game.create();
             let source = RandomPresser::new(
@@ -375,21 +347,11 @@ impl Experiment {
                 cfg.seed.wrapping_add(1 + site_no as u64),
             );
             let socket = SimNetwork::socket(&net, PeerId(site_no));
-            let session = if cfg.consistency.is_rollback() && !is_observer {
-                let mut s = RollbackSession::new(sync_cfg, machine, socket, source)
-                    .with_time_server(PeerId::TIME_SERVER);
-                if !cfg.check_convergence {
-                    s = s.without_frame_hashes();
-                }
-                Site::Rollback(s)
-            } else {
-                let mut s = LockstepSession::new(sync_cfg, machine, socket, source)
-                    .with_time_server(PeerId::TIME_SERVER);
-                if !cfg.check_convergence {
-                    s = s.without_frame_hashes();
-                }
-                Site::Lockstep(s)
-            };
+            let mut session = Session::new(sync_cfg, machine, socket, source)
+                .with_time_server(PeerId::TIME_SERVER);
+            if !cfg.check_convergence {
+                session = session.without_frame_hashes();
+            }
             // Boot times: everyone at 0 except a latecomer, which appears
             // at its join time.
             let is_latecomer =
@@ -486,9 +448,9 @@ impl Experiment {
                 s.pending_wake = Some(wakes.schedule(t.max(now), idx));
             }
             Ok(Step::FrameDone { report, next_wake }) => {
-                // A rollback site's report hash is speculative; its
-                // authoritative hashes are drained separately below.
-                if let Site::Lockstep(_) = s.session {
+                // A speculative site's report hash may still be rolled
+                // back; its authoritative hashes are drained below.
+                if s.session.window() == 0 {
                     if s.frames_done == 0 {
                         s.first_frame = report.frame;
                     }
@@ -509,13 +471,11 @@ impl Experiment {
                 });
             }
         }
-        if let Site::Rollback(rb) = &mut s.session {
-            for (f, h) in rb.take_confirmed() {
-                if s.hashes.is_empty() {
-                    s.first_frame = f;
-                }
-                s.hashes.push(h);
+        for (f, h) in s.session.take_confirmed() {
+            if s.hashes.is_empty() {
+                s.first_frame = f;
             }
+            s.hashes.push(h);
         }
         Ok(())
     }

@@ -1,4 +1,4 @@
-//! Configuration of a lockstep session.
+//! Configuration of a session site.
 
 use coplay_clock::SimDuration;
 use coplay_telemetry::Telemetry;
@@ -37,11 +37,6 @@ impl ConsistencyMode {
             max_rollback_frames: 30,
             checkpoint_interval: 5,
         }
-    }
-
-    /// `true` for any `Rollback` variant.
-    pub fn is_rollback(&self) -> bool {
-        matches!(self, ConsistencyMode::Rollback { .. })
     }
 }
 
@@ -130,10 +125,10 @@ pub struct SyncConfig {
     /// handle compares equal to its clones regardless of recorded contents,
     /// so `SyncConfig` equality stays meaningful.
     pub telemetry: Telemetry,
-    /// How the session maintains logical consistency. The driver types are
-    /// separate (`LockstepSession` here, `RollbackSession` in the
-    /// `coplay-rollback` crate); harnesses read this field to decide which
-    /// to build, and `RollbackSession` reads its tuning from it.
+    /// How the session maintains logical consistency. There is one driver
+    /// type, [`Session`](crate::Session); it reads its speculation window
+    /// from this field (0 for `Lockstep`, `max_rollback_frames` for
+    /// `Rollback`) along with the checkpoint cadence.
     pub consistency: ConsistencyMode,
     /// How datagrams reach the other sites. [`Topology::PeerToPeer`] (the
     /// default) preserves the paper's direct addressing;
@@ -253,8 +248,6 @@ mod tests {
     fn default_consistency_is_lockstep() {
         let cfg = SyncConfig::two_player(0);
         assert_eq!(cfg.consistency, ConsistencyMode::Lockstep);
-        assert!(!cfg.consistency.is_rollback());
-        assert!(ConsistencyMode::rollback().is_rollback());
         match ConsistencyMode::rollback() {
             ConsistencyMode::Rollback {
                 max_rollback_frames,

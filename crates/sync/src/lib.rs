@@ -20,12 +20,22 @@
 //!   master/slave pace smoothing (`SyncAdjustTimeDelta` from the master's
 //!   observed frame and `RTT/2`).
 //!
-//! [`LockstepSession`] assembles both into the paper's Algorithm 1 frame
-//! loop, together with the session-control handshake, RTT estimation, and
-//! the journal-version extensions (N players, observers, latecomer joins
-//! via state snapshots). Everything is *sans-io*: the discrete-event
-//! simulator in `coplay-sim` and the wall-clock runner in [`run_realtime`]
-//! drive the identical protocol code.
+//! [`Session`] assembles both into the paper's Algorithm 1 frame loop,
+//! together with the session-control handshake, RTT estimation, and the
+//! journal-version extensions (N players, observers, latecomer joins via
+//! state snapshots). It executes a frame once `pointer ≤ frontier +
+//! window`, with the window read from [`SyncConfig::consistency`]:
+//!
+//! * window 0 ([`ConsistencyMode::Lockstep`], alias [`LockstepSession`]) is
+//!   the paper's lockstep — wait for every input;
+//! * a positive window ([`ConsistencyMode::Rollback`], alias
+//!   [`RollbackSession`]) predicts missing remote inputs
+//!   ([`InputPredictor`]), checkpoints into a [`SnapshotRing`], and rolls
+//!   back and resimulates on a misprediction.
+//!
+//! Everything is *sans-io*: the discrete-event simulator in `coplay-sim`
+//! and the wall-clock runner in [`run_realtime`] drive the identical
+//! protocol code.
 //!
 //! # Examples
 //!
@@ -61,28 +71,39 @@
 #![warn(missing_docs)]
 
 mod config;
+pub mod delta;
 mod driver;
 mod error;
 mod input_buffer;
 mod input_source;
+mod pool;
+mod predict;
 mod realtime;
 mod replay;
 mod rtt;
 mod session;
+mod snapshot;
 mod stats;
 mod sync_input;
 mod timing;
 mod wire;
 
 pub use config::{ConsistencyMode, SyncConfig, Topology};
-pub use driver::{FrameReport, LockstepSession, Step, JOIN_MARGIN_FRAMES};
+pub use driver::{
+    FrameReport, LockstepSession, RollbackSession, Session, Step, JOIN_MARGIN_FRAMES,
+};
 pub use error::{StopReason, SyncError};
 pub use input_buffer::InputBuffer;
 pub use input_source::{Idle, InputSource, RandomPresser, Scripted};
+pub use pool::{BufferPool, PoolStats};
+pub use predict::{AssumeIdle, InputPredictor, RepeatLast};
 pub use realtime::{run_realtime, RunOutcome};
 pub use replay::{Recording, ReplayError, CHECKPOINT_INTERVAL};
 pub use rtt::{RttEstimator, DEFAULT_PING_INTERVAL};
 pub use session::SessionDriver;
+pub use snapshot::{
+    CheckpointInfo, CheckpointReport, CompressionStats, RestoreError, SnapshotRing,
+};
 pub use stats::SessionStats;
 pub use sync_input::{InputSync, MasterObservation, RecvOutcome, OBSERVER_SITE, RETAIN_FRAMES};
 pub use timing::{FrameEnd, FrameTimer};

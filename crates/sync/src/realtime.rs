@@ -1,8 +1,8 @@
 //! A wall-clock runner for live play.
 //!
-//! Drives any [`SessionDriver`] — a [`LockstepSession`](crate::LockstepSession)
-//! or the rollback session from `coplay-rollback` — against real time and a
-//! real transport (UDP or loopback). This is the deployment shape of the
+//! Drives any [`SessionDriver`] — a [`Session`](crate::Session) at any
+//! window, or a wrapper around one — against real time and a real
+//! transport (UDP or loopback). This is the deployment shape of the
 //! paper's system: the same sans-io session code the simulator benchmarks,
 //! attached to the operating system's clock and sockets.
 

@@ -1,19 +1,21 @@
 //! The driver-facing session abstraction.
 //!
 //! Khan & Chabridon's reusable-synchronization argument (see PAPERS.md):
-//! the consistency policy should be a pluggable module, not baked into the
-//! frame loop. [`SessionDriver`] is that seam — `LockstepSession` here and
-//! `RollbackSession` in `coplay-rollback` both implement it, so the
-//! wall-clock runner ([`run_realtime`](crate::run_realtime)) and any other
-//! harness drive either policy through one interface.
+//! the consistency policy should be a parameter of one sync component, not
+//! baked into the frame loop. [`Session`] is that component — lockstep and
+//! rollback differ only in its speculation window — and [`SessionDriver`]
+//! is the seam harnesses drive it through: the wall-clock runner
+//! ([`run_realtime`](crate::run_realtime)) and wrappers that decorate a
+//! session (timing, tracing) depend on the trait, not on the type.
 
 use coplay_clock::SimTime;
 use coplay_vm::Machine;
 
 use crate::config::SyncConfig;
-use crate::driver::{LockstepSession, Step};
+use crate::driver::{Session, Step};
 use crate::error::SyncError;
 use crate::input_source::InputSource;
+use crate::predict::InputPredictor;
 use crate::stats::SessionStats;
 use coplay_net::Transport;
 
@@ -56,30 +58,32 @@ pub trait SessionDriver {
     fn frame(&self) -> u64;
 }
 
-impl<M: Machine, T: Transport, S: InputSource> SessionDriver for LockstepSession<M, T, S> {
+impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> SessionDriver
+    for Session<M, T, S, P>
+{
     type Machine = M;
 
     fn tick(&mut self, now: SimTime) -> Result<Step, SyncError> {
-        LockstepSession::tick(self, now)
+        Session::tick(self, now)
     }
 
     fn pump(&mut self, now: SimTime) -> Result<(), SyncError> {
-        LockstepSession::pump(self, now)
+        Session::pump(self, now)
     }
 
     fn machine(&self) -> &M {
-        LockstepSession::machine(self)
+        Session::machine(self)
     }
 
     fn config(&self) -> &SyncConfig {
-        LockstepSession::config(self)
+        Session::config(self)
     }
 
     fn stats(&self) -> SessionStats {
-        LockstepSession::stats(self)
+        Session::stats(self)
     }
 
     fn frame(&self) -> u64 {
-        LockstepSession::frame(self)
+        Session::frame(self)
     }
 }

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use coplay_clock::{SimDuration, SimTime};
+use coplay_clock::SimTime;
 use coplay_telemetry::{EventKind, SpanStage};
 use coplay_vm::InputWord;
 
@@ -113,8 +113,6 @@ pub struct InputSync {
     peers: BTreeMap<u8, PeerState>,
     next_send: SimTime,
     master_rcv_time: Option<SimTime>,
-    /// Time at which the current `SyncInput` blockage began.
-    stalled_since: Option<SimTime>,
 }
 
 impl InputSync {
@@ -154,7 +152,6 @@ impl InputSync {
             peers,
             next_send: SimTime::ZERO,
             master_rcv_time: None,
-            stalled_since: None,
             cfg,
         }
     }
@@ -199,8 +196,8 @@ impl InputSync {
 
     /// Lines 1–5: buffer the local partial input for `frame + BufFrame`.
     ///
-    /// Call exactly once per frame, before polling. `now` is used only for
-    /// stall accounting.
+    /// Call exactly once per frame, before polling. `now` stamps the
+    /// `Sampled` trace span.
     pub fn begin_frame(&mut self, frame: u64, local: InputWord, now: SimTime) {
         debug_assert_eq!(frame, self.pointer, "one begin_frame per frame");
         if self.is_player() {
@@ -214,16 +211,14 @@ impl InputSync {
                     .span(now, SpanStage::Sampled, lag_f, self.cfg.my_site);
             }
         }
-        self.stalled_since = Some(now);
     }
 
     /// Line 21's exit condition: every player peer's partial input for the
-    /// current frame has arrived.
+    /// current frame has arrived, i.e. the pointer is within the
+    /// authoritative frontier (the session's window test with a window of
+    /// 0).
     pub fn ready(&self) -> bool {
-        self.peers
-            .iter()
-            .filter(|(&site, _)| site < self.cfg.num_sites)
-            .all(|(_, p)| p.last_rcv >= self.pointer)
+        self.pointer <= self.authoritative_frontier()
     }
 
     /// Lines 22–23: deliver `IBuf[IBufPointer]` and advance the pointer.
@@ -241,13 +236,12 @@ impl InputSync {
 
     /// Advances the pointer past the current frame *without* requiring the
     /// exit condition — the speculative half of `take`, used by the
-    /// rollback driver, which merges predicted inputs itself. Prunes the
+    /// session driver, which merges predicted inputs itself. Prunes the
     /// buffer exactly as `take` does (the prune floor already accounts for
     /// unacked and unreceived frames, so speculation never drops state a
     /// later rollback needs).
     pub fn advance(&mut self) {
         self.pointer += 1;
-        self.stalled_since = None;
         // Frames both delivered and universally acked can be dropped —
         // except for a bounded retention window kept for latecomer joins.
         let min_needed = self
@@ -286,8 +280,8 @@ impl InputSync {
     }
 
     /// Merges the buffered partials for `frame` under the port map,
-    /// treating absent sites as no input (the rollback driver substitutes
-    /// predictions for those before calling).
+    /// treating absent sites as no input (a speculating session
+    /// substitutes predictions for those before calling).
     pub fn merged_input(&self, frame: u64) -> InputWord {
         self.buf.merged(frame, &self.cfg.port_map)
     }
@@ -384,7 +378,14 @@ impl InputSync {
     ///
     /// The returned [`RecvOutcome`] summarizes what the message contributed
     /// (for telemetry/statistics); it is all-zero for messages from unknown
-    /// senders or from this site itself.
+    /// senders, from this site itself, or rejected as below.
+    ///
+    /// A player's payload must start no later than `LastRcvFrame + 1`: an
+    /// honest sender starts at our last ack it saw plus one, and our acks
+    /// never pass `LastRcvFrame`. A message starting further out is dropped
+    /// and counted (`input_rejected_total`). Accepting it would declare
+    /// every frame in the gap authoritative "no input" — a silent desync —
+    /// and grow the buffer to a sender-chosen frame number.
     pub fn on_message(&mut self, msg: &InputMsg, now: SimTime) -> RecvOutcome {
         let from = msg.from;
         if from == self.cfg.my_site {
@@ -393,6 +394,11 @@ impl InputSync {
         let Some(peer) = self.peers.get_mut(&from) else {
             return RecvOutcome::default(); // unknown sender: drop, as with any open UDP port
         };
+        let gap = msg.first > peer.last_rcv.saturating_add(1);
+        if from < self.cfg.num_sites && !msg.inputs.is_empty() && gap {
+            self.cfg.telemetry.counter_add("input_rejected_total", 1);
+            return RecvOutcome::default();
+        }
         let carried = msg.inputs.len() as u32;
         // Owe an ack only for messages that carried inputs: duplicates still
         // refresh the ack (the previous one may have been lost), while pure
@@ -409,7 +415,7 @@ impl InputSync {
                 self.buf.set_partial(msg.first + i as u64, from, w);
             }
             // Lines 14–16: advance LastRcvFrame[from]. Contiguity holds
-            // because msg.first = (our ack they saw) + 1 <= last_rcv + 1.
+            // because msg.first <= last_rcv + 1 (checked above).
             if !msg.inputs.is_empty() && msg.last() > peer.last_rcv {
                 fresh = (msg.last() - peer.last_rcv).min(carried as u64) as u32;
                 // Span chain: only the frames this message is the first to
@@ -463,20 +469,12 @@ impl InputSync {
             rcv_time,
         })
     }
-
-    /// How long the engine has been blocked waiting for remote input, if it
-    /// currently is (extension: drives the optional stall timeout).
-    pub fn stalled_for(&self, now: SimTime) -> Option<SimDuration> {
-        if self.ready() {
-            return None;
-        }
-        self.stalled_since.map(|t| now.saturating_since(t))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coplay_clock::SimDuration;
     use coplay_vm::{Button, Player};
 
     fn now() -> SimTime {
@@ -738,23 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_detection_reports_blockage() {
-        let (mut a, mut b) = pair();
-        warmup_isolated(&mut a, &mut b);
-        let t = SimTime::from_secs(3);
-        a.begin_frame(6, InputWord(1), t);
-        assert!(!a.ready());
-        let later = t + SimDuration::from_millis(500);
-        assert_eq!(a.stalled_for(later), Some(SimDuration::from_millis(500)));
-        // Once the remote input arrives, the stall clears.
-        b.begin_frame(6, InputWord::NONE, t);
-        for (_, m) in b.outgoing(t) {
-            a.on_message(&m, t);
-        }
-        assert_eq!(a.stalled_for(later), None);
-    }
-
-    #[test]
     fn three_site_session_requires_all_inputs() {
         let mut sites: Vec<InputSync> = (0..3)
             .map(|s| InputSync::new(SyncConfig::n_player(s, 3)))
@@ -990,5 +971,32 @@ mod tests {
             assert_eq!(m.first, 6);
             assert_eq!(m.inputs.len(), 4, "window 6..=9 under the cap");
         }
+    }
+
+    #[test]
+    fn far_future_input_is_dropped_and_counted() {
+        let mut cfg = SyncConfig::two_player(0);
+        cfg.telemetry = coplay_telemetry::Telemetry::recording();
+        let telemetry = cfg.telemetry.clone();
+        let mut s = InputSync::new(cfg);
+        let (frontier, last_rcv, len) = (s.authoritative_frontier(), s.last_rcv(1), s.buf.len());
+        let probe = InputMsg {
+            from: 1,
+            ack: 0,
+            first: 1 << 26,
+            inputs: vec![InputWord(1)],
+        };
+        assert_eq!(s.on_message(&probe, now()), RecvOutcome::default());
+        assert_eq!(s.authoritative_frontier(), frontier);
+        assert_eq!(s.last_rcv(1), last_rcv);
+        assert_eq!(s.buf.len(), len, "the buffer must not grow");
+        assert_eq!(telemetry.counter("input_rejected_total"), 1);
+        // The next contiguous frame is still accepted.
+        let next = InputMsg {
+            first: last_rcv.unwrap() + 1,
+            ..probe
+        };
+        assert_eq!(s.on_message(&next, now()).fresh, 1);
+        assert_eq!(s.last_rcv(1), Some(last_rcv.unwrap() + 1));
     }
 }

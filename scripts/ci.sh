@@ -29,8 +29,11 @@ echo "==> coplay-lint --check-schema (wire drift vs results/wire_schema.json)"
 # `cargo run -p detlint -- --update-schema` and commit the lockfile.
 cargo run -q -p detlint --release -- --check-schema
 
-echo "==> rollback netcode tests"
-cargo test -q -p coplay-rollback
+echo "==> e2ebench against the workspace (build + wrapper forwarding tests)"
+# coplay-rollback is re-exports only now (its tests live with the driver in
+# coplay-sync); the benchmark package is the outside caller that pins the
+# public session API, so compile it and run its tests instead.
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 
 echo "==> rollback sweep smoke (writes results/BENCH_rollback.json)"
 cargo run -q --release -p coplay-bench --bin rollback_sweep -- --quick
