@@ -1,11 +1,11 @@
 //! Microbenchmarks for the rollback hot loop.
 //!
 //! Rollback repair happens *inside* a 16.7 ms frame budget: checkpoint
-//! capture, delta encoding, checkpoint restore, and resimulation all run on
-//! the critical path, and the per-frame input send shares it. This binary
-//! times each of those operations per bundled game (plus the wire codec)
-//! and writes `results/BENCH_hotpath.json` with ns/op and bytes/op, the
-//! pooled-buffer hit rate, and the delta-vs-full compression ratio.
+//! capture, checkpoint restore, and resimulation all run on the critical
+//! path, and the per-frame input send shares it. This binary times each of
+//! those operations per bundled game (plus the wire codec) and writes
+//! `results/BENCH_hotpath.json` with ns/op and bytes/op and the
+//! interpreter's decode-cache and fusion rates.
 //!
 //! Run: `cargo run --release -p coplay-bench --bin hotpath [--quick]`
 //!
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use coplay_bench::{banner, write_results_json, Options};
 use coplay_games::{catalog, rom_pong_console, rom_race_console};
-use coplay_rollback::{delta, SnapshotRing};
+use coplay_rollback::SnapshotRing;
 use coplay_sync::{InputMsg, Message};
 use coplay_vm::{
     Console, Cpu, Devices, DirtyPages, InputWord, Instruction, InterpMode, Machine, Reg, Rom,
@@ -53,11 +53,6 @@ struct Measurement {
 struct GameSummary {
     name: &'static str,
     snapshot_bytes: u64,
-    /// Full-snapshot bytes vs delta bytes over consecutive frames, in
-    /// thousandths (4000 = deltas are 4x smaller).
-    delta_ratio_milli: u64,
-    /// Snapshot-ring buffer-pool hit rate after warmup, in thousandths.
-    pool_hit_rate_milli: u64,
     /// Interpreter decode-cache warm-dispatch rate in thousandths; 0 for
     /// native-Rust machines that have no interpreter.
     decode_hit_rate_milli: u64,
@@ -99,6 +94,19 @@ fn input_for(frame: u64) -> InputWord {
     InputWord((x & 0xFFFF_FFFF) as u32)
 }
 
+/// Steps `m` 8 frames, then captures the repair anchor: the frame the
+/// machine executes next and its full state image. Repair rows copy this
+/// image into their restore buffer every iteration.
+fn repair_anchor<M: Machine + ?Sized>(m: &mut M) -> (u64, Vec<u8>) {
+    for _ in 0..8 {
+        let f = m.frame();
+        m.step_frame(input_for(f));
+    }
+    let mut anchor = Vec::new();
+    m.save_state_into(&mut anchor);
+    (m.frame(), anchor)
+}
+
 fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
     let mut measurements = Vec::new();
     let mut summaries = Vec::new();
@@ -110,7 +118,6 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
         for f in 0..120 {
             m.step_frame(input_for(f));
         }
-        let base = m.save_state();
         m.step_frame(input_for(120));
         let next = m.save_state();
         let snapshot_bytes = next.len() as u64;
@@ -135,54 +142,13 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             bytes_per_op: snapshot_bytes,
         });
 
-        let mut dbuf = Vec::new();
-        let ns = bench_ns(budget, || {
-            delta::encode_into(&base, &next, &mut dbuf);
-            std::hint::black_box(dbuf.len());
-        });
-        let delta_bytes = dbuf.len() as u64;
-        measurements.push(Measurement {
-            key: format!("{name}/delta_encode"),
-            ns_per_op: ns,
-            bytes_per_op: delta_bytes,
-        });
-
-        // Average one-frame delta size over a window of consecutive
-        // frames: this is the "delta checkpoints are Nx smaller" number.
-        let mut full_total = 0u64;
-        let mut delta_total = 0u64;
-        let mut prev = m.save_state();
-        let mut cur = Vec::new();
+        // Advance to the repair anchor; `measure_interp` replicates this
+        // schedule so both pin the same checkpoint frame.
         for f in 121..153 {
             m.step_frame(input_for(f));
-            m.save_state_into(&mut cur);
-            delta::encode_into(&prev, &cur, &mut dbuf);
-            full_total += cur.len() as u64;
-            delta_total += dbuf.len() as u64;
-            std::mem::swap(&mut prev, &mut cur);
         }
-        let delta_ratio_milli = full_total.saturating_mul(1000) / delta_total.max(1);
-
-        // Restore from the deepest point of a back-delta chain.
-        let mut ring = SnapshotRing::new(8);
-        for _ in 0..8 {
-            let f = m.frame();
-            m.step_frame(input_for(f));
-            m.save_state_into(&mut cap);
-            ring.push(m.frame(), &cap, m.state_hash());
-        }
-        let newest = ring.newest_frame().expect("ring was just filled");
+        let (newest, anchor) = repair_anchor(&mut *m);
         let mut rbuf = Vec::new();
-        let ns = bench_ns(budget, || {
-            ring.restore_into(newest, &mut rbuf)
-                .expect("newest checkpoint restores");
-            std::hint::black_box(rbuf.len());
-        });
-        measurements.push(Measurement {
-            key: format!("{name}/ring_restore"),
-            ns_per_op: ns,
-            bytes_per_op: rbuf.len() as u64,
-        });
 
         let ns = bench_ns(budget, || {
             let f = m.frame();
@@ -195,11 +161,10 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             bytes_per_op: 0,
         });
 
-        // A full rollback repair: restore the checkpoint, reload the
+        // A full rollback repair: copy the checkpoint image, reload the
         // machine, resimulate 8 frames.
         let ns = bench_ns(budget, || {
-            ring.restore_into(newest, &mut rbuf)
-                .expect("newest checkpoint restores");
+            rbuf.clone_from(&anchor);
             m.load_state(&rbuf).expect("checkpoint bytes reload");
             for k in 1..=8 {
                 m.step_frame(input_for(newest + k));
@@ -217,8 +182,7 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
         // presents so the display catches up. Same restore + reload + 8
         // frames as `rollback_repair_8`, so the delta is pure rendering.
         let ns = bench_ns(budget, || {
-            ring.restore_into(newest, &mut rbuf)
-                .expect("newest checkpoint restores");
+            rbuf.clone_from(&anchor);
             m.load_state(&rbuf).expect("checkpoint bytes reload");
             for k in 1..=8 {
                 let mode = if k == 8 {
@@ -286,9 +250,7 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
         let mut kr = 0u64;
         rring.checkpoint_from(kr, 0, &mut m);
         let mut rout = Vec::new();
-        rring
-            .restore_into(kr, &mut rout)
-            .expect("anchor checkpoint restores");
+        m.save_state_into(&mut rout);
         let mut rdirty = DirtyPages::default();
         let ns = bench_ns(budget, || {
             let f = m.frame();
@@ -309,25 +271,12 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             bytes_per_op: restored_bytes as u64,
         });
 
-        // Steady-state pool behaviour: after the ring warms up, every
-        // eviction recycles exactly one buffer, so misses stay bounded by
-        // the warmup while hits grow with every push.
-        let mut pool_ring = SnapshotRing::new(8);
-        m.save_state_into(&mut cap);
-        let hash = m.state_hash();
-        let start = m.frame();
-        for i in 1..=1000u64 {
-            pool_ring.push(start + i, &cap, hash);
-        }
-        let pool_hit_rate_milli = pool_ring.pool_stats().hit_rate_milli();
         let decode_hit_rate_milli = m.interp_stats().map_or(0, |s| s.hit_rate_milli());
         let fusion_rate_milli = m.interp_stats().map_or(0, |s| s.fusion_rate_milli());
 
         summaries.push(GameSummary {
             name,
             snapshot_bytes,
-            delta_ratio_milli,
-            pool_hit_rate_milli,
             decode_hit_rate_milli,
             fusion_rate_milli,
         });
@@ -381,23 +330,15 @@ fn measure_interp(budget: Duration) -> Vec<Measurement> {
     ];
     for (name, make) in roms {
         // Phase-lock with `measure_games`: replicate its exact stepping
-        // schedule (120-frame warmup, the +1/+32 snapshot and delta-window
-        // steps, 8 ring pushes) so the reference numbers pin the *same*
-        // checkpoint frame as the cache-on ones — both interpreter loops
-        // are state-identical, so any cost difference is pure mode.
+        // schedule (153 frames, then `repair_anchor`) so the reference
+        // numbers pin the *same* checkpoint frame as the cache-on ones —
+        // both interpreter loops are state-identical, so any cost
+        // difference is pure mode.
         let mut slow = make().with_interp_mode(InterpMode::Reference);
         for f in 0..153 {
             slow.step_frame(input_for(f));
         }
-        let mut ring = SnapshotRing::new(8);
-        let mut cap = Vec::new();
-        for _ in 0..8 {
-            let f = slow.frame();
-            slow.step_frame(input_for(f));
-            slow.save_state_into(&mut cap);
-            ring.push(slow.frame(), &cap, slow.state_hash());
-        }
-        let newest = ring.newest_frame().expect("ring was just filled");
+        let (newest, anchor) = repair_anchor(&mut slow);
 
         // Reference-mode resimulation: same loop shape as the cache-on
         // `resim_frame` measurement over in `measure_games`.
@@ -412,12 +353,11 @@ fn measure_interp(budget: Duration) -> Vec<Measurement> {
         });
 
         // Reference-mode full repair, same shape as the cache-on metric —
-        // ring restore, state reload, 8 resimulated frames — so the on/off
-        // ratio compares like with like.
+        // checkpoint copy, state reload, 8 resimulated frames — so the
+        // on/off ratio compares like with like.
         let mut rbuf = Vec::new();
         let ns = bench_ns(budget, || {
-            ring.restore_into(newest, &mut rbuf)
-                .expect("newest checkpoint restores");
+            rbuf.clone_from(&anchor);
             slow.load_state(&rbuf).expect("checkpoint bytes reload");
             for k in 1..=8 {
                 slow.step_frame(input_for(newest + k));
@@ -557,13 +497,10 @@ fn render_json(opts: &Options, games: &[GameSummary], measurements: &[Measuremen
     out.push_str(&format!("  \"seed\": {},\n  \"games\": [\n", opts.seed));
     for (i, g) in games.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"game\": \"{}\", \"snapshot_bytes\": {}, \"delta_ratio_milli\": {}, \
-             \"pool_hit_rate_milli\": {}, \"decode_hit_rate_milli\": {}, \
-             \"fusion_rate_milli\": {}}}{}\n",
+            "    {{\"game\": \"{}\", \"snapshot_bytes\": {}, \
+             \"decode_hit_rate_milli\": {}, \"fusion_rate_milli\": {}}}{}\n",
             g.name,
             g.snapshot_bytes,
-            g.delta_ratio_milli,
-            g.pool_hit_rate_milli,
             g.decode_hit_rate_milli,
             g.fusion_rate_milli,
             if i + 1 < games.len() { "," } else { "" },
@@ -690,18 +627,14 @@ fn main() {
     }
     println!();
     println!(
-        "{:<12} {:>14} {:>16} {:>15} {:>15} {:>12}",
-        "game", "snapshot B", "delta ratio", "pool hits", "decode hits", "fused"
+        "{:<12} {:>14} {:>15} {:>12}",
+        "game", "snapshot B", "decode hits", "fused"
     );
     for g in &games {
         println!(
-            "{:<12} {:>14} {:>13}.{:01}x {:>13}.{:01}% {:>13}.{:01}% {:>10}.{:01}%",
+            "{:<12} {:>14} {:>13}.{:01}% {:>10}.{:01}%",
             g.name,
             g.snapshot_bytes,
-            g.delta_ratio_milli / 1000,
-            (g.delta_ratio_milli % 1000) / 100,
-            g.pool_hit_rate_milli / 10,
-            g.pool_hit_rate_milli % 10,
             g.decode_hit_rate_milli / 10,
             g.decode_hit_rate_milli % 10,
             g.fusion_rate_milli / 10,

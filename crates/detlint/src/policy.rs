@@ -23,17 +23,17 @@
 //! |------|-----------|-----------------|-----------|
 //! | wire codecs (`net/bytes`, `lobby/wire`, `sync/wire`, `relay/wire`) | ✓ | ✓ | – |
 //! | transport (`net/{udp,sim,transport,netem}`, `lobby/{server,client,lib}`, `relay/{server,client,udp,lib}`) | ✓ | – | – |
-//! | hot path (`rollback/src/*`, `sync/{driver,snapshot,delta,pool,predict,sync_input}`, `vm/{cpu,predecode,console,audio,dirty}`, `relay/server`) | ✓ | – | ✓‡ |
+//! | hot path (`rollback/src/*`, `sync/{driver,snapshot,predict,sync_input}`, `vm/{cpu,predecode,console,audio,dirty}`, `relay/server`) | ✓ | – | ✓‡ |
 //!
 //! ‡ `hot_alloc` applies to exactly the modules PRs 4–5 made alloc-free
 //! plus the relay's per-datagram fan-out, the frame-step path headless
 //! resimulation runs through, and the dirty-page bitmap every checkpoint
 //! and rollback walks:
-//! `sync/{driver,snapshot,delta,sync_input}.rs`, `vm/{cpu,predecode,console,audio,dirty}.rs`,
-//! `relay/src/server.rs`. The snapshot ring, its codec and pool, the
-//! predictor, and the session driver moved from `crates/rollback` into
-//! `crates/sync` when lockstep and rollback became one driver; they kept
-//! their fences at the new paths. Wire/transport code must be
+//! `sync/{driver,snapshot,sync_input}.rs`, `vm/{cpu,predecode,console,audio,dirty}.rs`,
+//! `relay/src/server.rs`. The snapshot ring, the predictor, and the
+//! session driver moved from `crates/rollback` into `crates/sync` when
+//! lockstep and rollback became one driver; they kept their fences at the
+//! new paths. Wire/transport code must be
 //! panic-free on arbitrary bytes (typed errors only); hot-path panics and
 //! constructor allocations carry `allow(...) -- <reason>` waivers.
 //! `#[cfg(test)]` regions are exempt from the zone rules but not the
@@ -83,8 +83,6 @@ fn hot_panic_zone(rel: &str) -> bool {
             rel,
             "crates/sync/src/driver.rs"
                 | "crates/sync/src/snapshot.rs"
-                | "crates/sync/src/delta.rs"
-                | "crates/sync/src/pool.rs"
                 | "crates/sync/src/predict.rs"
                 | "crates/vm/src/cpu.rs"
                 | "crates/vm/src/predecode.rs"
@@ -101,7 +99,6 @@ fn hot_alloc_zone(rel: &str) -> bool {
     matches!(
         rel,
         "crates/sync/src/snapshot.rs"
-            | "crates/sync/src/delta.rs"
             | "crates/sync/src/driver.rs"
             | "crates/vm/src/cpu.rs"
             | "crates/vm/src/predecode.rs"
@@ -199,7 +196,6 @@ mod tests {
             "crates/rollback/src/lib.rs",
             "crates/sync/src/driver.rs",
             "crates/sync/src/snapshot.rs",
-            "crates/sync/src/delta.rs",
         ] {
             let rules = rules_for(rel);
             for r in Rule::DETERMINISM {
@@ -249,13 +245,11 @@ mod tests {
 
     #[test]
     fn snapshot_fast_path_is_deterministic_core() {
-        // The delta codec and buffer pool rebuild state bytes during
-        // rollback repair; every determinism rule applies to them.
-        for rel in ["crates/sync/src/delta.rs", "crates/sync/src/pool.rs"] {
-            let rules = rules_for(rel);
-            for r in Rule::DETERMINISM {
-                assert!(rules.contains(&r), "{rel} missing {r:?}");
-            }
+        // The snapshot ring rebuilds state bytes during rollback repair;
+        // every determinism rule applies to it.
+        let rules = rules_for("crates/sync/src/snapshot.rs");
+        for r in Rule::DETERMINISM {
+            assert!(rules.contains(&r), "snapshot.rs missing {r:?}");
         }
     }
 
@@ -309,7 +303,6 @@ mod tests {
     fn hot_path_modules_carry_the_alloc_fence() {
         for rel in [
             "crates/sync/src/snapshot.rs",
-            "crates/sync/src/delta.rs",
             "crates/sync/src/driver.rs",
             "crates/vm/src/cpu.rs",
             "crates/vm/src/predecode.rs",
@@ -321,13 +314,10 @@ mod tests {
             assert!(has(rel, Rule::PanicPath), "{rel}");
             assert!(has(rel, Rule::HotAlloc), "{rel}");
         }
-        // The rollback pool/predictor are panic-fenced but not alloc-fenced
-        // (the pool's whole job is owning allocations), and the VM's
+        // The predictor is panic-fenced but not alloc-fenced, and the VM's
         // assembler/framebuffer are outside both zones.
-        for rel in ["crates/sync/src/pool.rs", "crates/sync/src/predict.rs"] {
-            assert!(has(rel, Rule::PanicPath), "{rel}");
-            assert!(!has(rel, Rule::HotAlloc), "{rel}");
-        }
+        assert!(has("crates/sync/src/predict.rs", Rule::PanicPath));
+        assert!(!has("crates/sync/src/predict.rs", Rule::HotAlloc));
         assert!(!has("crates/vm/src/assembler.rs", Rule::PanicPath));
         assert!(!has("crates/vm/src/assembler.rs", Rule::HotAlloc));
     }

@@ -31,15 +31,10 @@ struct Registration {
     rollbacks: u64,
     resimulated_frames: u64,
     max_rollback_depth: u64,
-    /// Snapshot-ring health from the host's latest heartbeat: the
-    /// delta-vs-full compression ratio in thousandths and the cumulative
-    /// pooled-buffer reuse hits.
-    compression_ratio_milli: u64,
     /// Cumulative dirty-checkpoint bytes captured and bytes copied back by
     /// bitmap-guided restores, from the host's latest heartbeat.
     snapshot_bytes_saved: u64,
     snapshot_bytes_restored: u64,
-    pool_hits: u64,
     /// Flight-recorder eviction counters from the host's latest heartbeat:
     /// total telemetry events lost and the trace-span subset.
     dropped_events: u64,
@@ -105,24 +100,9 @@ impl LobbyServer {
             .gauge_set("session_resimulated_frames", resim as i64);
         self.metrics
             .gauge_set("session_max_rollback_depth", depth as i64);
-        // Snapshot-ring health: the worst (lowest) reported delta-vs-full
-        // compression ratio and the fleet-wide pooled-buffer reuse count.
-        let worst_ratio = self
-            .sessions
-            .values()
-            .map(|s| s.compression_ratio_milli)
-            .filter(|&r| r > 0)
-            .min()
-            .unwrap_or(0);
-        let pool_hits: u64 = self.sessions.values().map(|s| s.pool_hits).sum();
-        self.metrics
-            .gauge_set("session_compression_ratio_milli", worst_ratio as i64);
-        self.metrics
-            .gauge_set("session_snapshot_pool_hits", pool_hits as i64);
         // Dirty-checkpoint bandwidth: fleet-wide bytes the rings captured
-        // and bytes rollback repairs copied back. Read against the ratio
-        // gauge above, these say how far under the 84 KiB full-image floor
-        // the hosts are running.
+        // and bytes rollback repairs copied back — how far under the
+        // 84 KiB full-image floor the hosts are running.
         let saved: u64 = self.sessions.values().map(|s| s.snapshot_bytes_saved).sum();
         let restored: u64 = self
             .sessions
@@ -195,10 +175,8 @@ impl LobbyServer {
                         rollbacks: 0,
                         resimulated_frames: 0,
                         max_rollback_depth: 0,
-                        compression_ratio_milli: 0,
                         snapshot_bytes_saved: 0,
                         snapshot_bytes_restored: 0,
-                        pool_hits: 0,
                         dropped_events: 0,
                         dropped_spans: 0,
                     },
@@ -216,10 +194,8 @@ impl LobbyServer {
                 rollbacks,
                 resimulated_frames,
                 max_rollback_depth,
-                compression_ratio_milli,
                 snapshot_bytes_saved,
                 snapshot_bytes_restored,
-                pool_hits,
                 dropped_events,
                 dropped_spans,
             } => {
@@ -229,10 +205,8 @@ impl LobbyServer {
                         s.rollbacks = *rollbacks;
                         s.resimulated_frames = *resimulated_frames;
                         s.max_rollback_depth = *max_rollback_depth;
-                        s.compression_ratio_milli = *compression_ratio_milli;
                         s.snapshot_bytes_saved = *snapshot_bytes_saved;
                         s.snapshot_bytes_restored = *snapshot_bytes_restored;
-                        s.pool_hits = *pool_hits;
                         s.dropped_events = *dropped_events;
                         s.dropped_spans = *dropped_spans;
                     }
@@ -320,10 +294,8 @@ mod tests {
             rollbacks,
             resimulated_frames: resim,
             max_rollback_depth: depth,
-            compression_ratio_milli: 4500,
             snapshot_bytes_saved: 40_000,
             snapshot_bytes_restored: 5_000,
-            pool_hits: 128,
             dropped_events: 6,
             dropped_spans: 2,
         }
@@ -483,16 +455,6 @@ mod tests {
             text.contains("coplay_lobby_session_max_rollback_depth 7"),
             "{text}"
         );
-        // Both hosts reported ratio 4500 and 128 pool hits each; the gauge
-        // keeps the worst ratio and sums the hits.
-        assert!(
-            text.contains("coplay_lobby_session_compression_ratio_milli 4500"),
-            "{text}"
-        );
-        assert!(
-            text.contains("coplay_lobby_session_snapshot_pool_hits 256"),
-            "{text}"
-        );
         // Dirty-checkpoint bandwidth sums across hosts: 40k+40k saved,
         // 5k+5k restored.
         assert!(
@@ -513,9 +475,9 @@ mod tests {
             "{text}"
         );
 
-        // A host reporting weaker compression drags the worst-ratio gauge
-        // down; sessions that never reported (ratio 0) stay excluded.
-        let c = register(&mut server, PeerId(2), "weak compressor", 2);
+        // A third host's report joins the sums; a session that never
+        // reported adds nothing.
+        let c = register(&mut server, PeerId(2), "third", 2);
         server.handle(
             PeerId(2),
             &LobbyMessage::Heartbeat {
@@ -523,10 +485,8 @@ mod tests {
                 rollbacks: 0,
                 resimulated_frames: 0,
                 max_rollback_depth: 0,
-                compression_ratio_milli: 1100,
                 snapshot_bytes_saved: 7_000,
                 snapshot_bytes_restored: 1_000,
-                pool_hits: 10,
                 dropped_events: 0,
                 dropped_spans: 0,
             },
@@ -535,11 +495,11 @@ mod tests {
         let _ = register(&mut server, PeerId(3), "silent", 2);
         let text = server.metrics_text();
         assert!(
-            text.contains("coplay_lobby_session_compression_ratio_milli 1100"),
+            text.contains("coplay_lobby_session_snapshot_bytes_saved 87000"),
             "{text}"
         );
         assert!(
-            text.contains("coplay_lobby_session_snapshot_pool_hits 266"),
+            text.contains("coplay_lobby_session_snapshot_bytes_restored 11000"),
             "{text}"
         );
     }

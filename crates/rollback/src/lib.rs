@@ -41,8 +41,7 @@
 
 #![warn(missing_docs)]
 
-pub use coplay_sync::delta;
 pub use coplay_sync::{
-    AssumeIdle, BufferPool, CheckpointInfo, CheckpointReport, CompressionStats, InputPredictor,
-    PoolStats, RepeatLast, RestoreError, RollbackSession, SnapshotRing,
+    AssumeIdle, CheckpointInfo, CheckpointReport, InputPredictor, RepeatLast, RestoreError,
+    RollbackSession, SnapshotRing,
 };

@@ -180,8 +180,6 @@ pub struct Session<M, T, S, P = RepeatLast> {
     restore_buf: Vec<u8>,
     /// Reusable datagram buffer for the per-frame input send path.
     send_buf: Vec<u8>,
-    /// Pool hits already published to the telemetry counter.
-    pool_hits_reported: u64,
     /// Decode-cache totals already published to telemetry (the report
     /// event carries deltas against this).
     interp_reported: InterpStats,
@@ -284,7 +282,6 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
             restore_buf: Vec::new(),
             // detlint: allow(hot_alloc) -- reusable buffer; grows once, then steady-state
             send_buf: Vec::new(),
-            pool_hits_reported: 0,
             interp_reported: InterpStats::default(),
             // detlint: allow(hot_alloc) -- one-time constructor allocation, not per-frame
             used: BTreeMap::new(),
@@ -766,19 +763,6 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
         self.cfg
             .telemetry
             .observe("dirty_pages_per_frame", report.dirty_pages as u64);
-        // How much smaller delta storage keeps checkpoints than full
-        // copies, in thousandths (4000 = 4× smaller).
-        self.cfg.telemetry.gauge_set(
-            "checkpoint_compression_ratio_milli",
-            ring.compression().ratio_milli() as i64,
-        );
-        let hits = ring.pool_stats().hits;
-        if hits > self.pool_hits_reported {
-            self.cfg
-                .telemetry
-                .counter_add("snapshot_pool_hits_total", hits - self.pool_hits_reported);
-            self.pool_hits_reported = hits;
-        }
         if let Some(stats) = self.machine.interp_stats() {
             let hits = stats.hits.saturating_sub(self.interp_reported.hits);
             let misses = stats.misses.saturating_sub(self.interp_reported.misses);
@@ -931,7 +915,11 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
                 rom_hash,
                 observer,
             } => {
-                self.check_rom(rom_hash)?;
+                // Like inputs, a Hello speaks only for its sender's site.
+                if from != PeerId(site) {
+                    self.cfg.telemetry.counter_add("hello_spoofed_total", 1);
+                    return Ok(());
+                }
                 // A window-0 site offers a late joiner a snapshot of its
                 // next frame, with a margin of input history to cover
                 // pointer divergence. A speculative site cannot serve one,
@@ -942,12 +930,20 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
                 } else {
                     (pointer, 0)
                 };
-                self.sync.add_peer(site, joined_at);
-                self.cfg
-                    .telemetry
-                    .record(now, EventKind::PeerJoined { site });
-                if !observer && !self.joined.contains(&site) {
-                    self.joined.push(site);
+                if rom_hash == self.rom_hash {
+                    self.sync.add_peer(site, joined_at);
+                    self.cfg
+                        .telemetry
+                        .record(now, EventKind::PeerJoined { site });
+                    if !observer && !self.joined.contains(&site) {
+                        self.joined.push(site);
+                    }
+                } else {
+                    // A foreign cartridge never joins, and it cannot end
+                    // the session for everyone else: count it, and still
+                    // answer so the misconfigured sender fails fast with
+                    // `RomMismatch` on its own side.
+                    self.cfg.telemetry.counter_add("hello_rejected_total", 1);
                 }
                 let ack = Message::HelloAck {
                     rom_hash: self.rom_hash,
@@ -959,8 +955,14 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
                 rom_hash,
                 start_frame,
             } => {
-                self.check_rom(rom_hash)?;
+                // Only a handshake in progress listens for acks.
                 if let Phase::Connecting { acks, .. } = &mut self.phase {
+                    if rom_hash != self.rom_hash {
+                        return Err(SyncError::RomMismatch {
+                            ours: self.rom_hash,
+                            theirs: rom_hash,
+                        });
+                    }
                     acks.insert(from.0, start_frame);
                 }
             }
@@ -1034,17 +1036,6 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
         Ok(())
     }
 
-    /// Refuses a peer running a different game image.
-    fn check_rom(&self, theirs: u64) -> Result<(), SyncError> {
-        if theirs == self.rom_hash {
-            return Ok(());
-        }
-        Err(SyncError::RomMismatch {
-            ours: self.rom_hash,
-            theirs,
-        })
-    }
-
     /// Compares the predictions used for frames newly covered by `sender`'s
     /// advancing frontier against the authoritative partials, queueing a
     /// rollback at the earliest mismatch.
@@ -1104,7 +1095,7 @@ mod tests {
     use crate::input_source::{Idle, RandomPresser};
     use crate::wire::InputMsg;
     use coplay_clock::{Clock, VirtualClock};
-    use coplay_net::{loopback, LoopbackTransport, NetemConfig, SimNetwork};
+    use coplay_net::{loopback, LoopbackTransport, NetemConfig, SimNetwork, SimSocket};
     use coplay_telemetry::Telemetry;
     use coplay_vm::{NullMachine, Player};
 
@@ -1222,16 +1213,24 @@ mod tests {
     }
 
     #[test]
-    fn rom_mismatch_is_detected_by_the_master() {
+    fn rom_mismatch_fails_the_sender_not_the_master() {
         let (ta, tb) = loopback(PeerId(0), PeerId(1));
         let mut modified = NullMachine::new();
         modified.step_frame(InputWord(1)); // different "image"
-        let mut a = LockstepSession::new(SyncConfig::two_player(0), NullMachine::new(), ta, Idle);
+        let mut cfg0 = SyncConfig::two_player(0);
+        cfg0.telemetry = Telemetry::recording();
+        let telemetry = cfg0.telemetry.clone();
+        let mut a = LockstepSession::new(cfg0, NullMachine::new(), ta, Idle);
         let mut b = LockstepSession::new(SyncConfig::two_player(1), modified, tb, Idle);
         let now = SimTime::ZERO;
         let _ = b.tick(now).unwrap(); // b sends Hello with the wrong hash
-        let err = a.tick(now).unwrap_err();
-        assert!(matches!(err, SyncError::RomMismatch { .. }));
+                                      // The master refuses the peer but keeps waiting for a real one...
+        assert!(matches!(a.tick(now).unwrap(), Step::Wait(_)));
+        assert!(a.joined.is_empty());
+        assert_eq!(telemetry.counter("hello_rejected_total"), 1);
+        // ...and its ack makes the misconfigured sender fail fast.
+        let err = b.tick(now).unwrap_err();
+        assert!(matches!(err, SyncError::RomMismatch { .. }), "{err:?}");
     }
 
     #[test]
@@ -1363,7 +1362,7 @@ mod tests {
         (s, probe)
     }
 
-    fn drain(probe: &mut LoopbackTransport) -> Vec<Message> {
+    fn drain(probe: &mut impl Transport) -> Vec<Message> {
         let mut out = Vec::new();
         while let Some((_, data)) = probe.try_recv().unwrap() {
             out.push(Message::decode(&data).unwrap());
@@ -1409,8 +1408,11 @@ mod tests {
         assert!(drain(&mut probe).contains(&Message::SnapshotRequest));
     }
 
-    #[test]
-    fn inputs_forged_by_a_third_endpoint_are_dropped() {
+    /// Runs an honest lockstep pair for 120 frames over a 5 ms link while
+    /// a third endpoint sends `attack(tick)` to site 0, and asserts the
+    /// honest timelines agree. Returns the pair's telemetry and the
+    /// attacker's socket.
+    fn under_attack(attack: impl Fn(u64) -> Vec<Message>) -> (Telemetry, SimSocket) {
         let clock = VirtualClock::new();
         let net = SimNetwork::shared(clock.clone());
         let link = NetemConfig::new().delay(SimDuration::from_millis(5));
@@ -1429,21 +1431,11 @@ mod tests {
             )
         });
         let mut mallory = SimNetwork::socket(&net, PeerId(2));
-        // Site 1's partials from its first post-lag frame on, every button
-        // held: accepted, they would beat the real ones into site 0's
-        // first-write-wins buffer.
-        let forged = Message::Input(InputMsg {
-            from: 1,
-            ack: 0,
-            first: 6,
-            inputs: vec![InputWord(0xFFFF); 240],
-        })
-        .encode();
         let mut hashes = [Vec::new(), Vec::new()];
         for tick in 0..20_000 {
             let now = clock.now();
-            if tick % 50 == 0 {
-                mallory.send(PeerId(0), &forged).unwrap();
+            for msg in attack(tick) {
+                mallory.send(PeerId(0), &msg.encode()).unwrap();
             }
             net.borrow_mut().deliver_due(now);
             for (s, out) in sites.iter_mut().zip(&mut hashes) {
@@ -1458,7 +1450,52 @@ mod tests {
         }
         let [ha, hb] = hashes;
         assert!(ha.len() >= 120 && hb.len() >= 120, "run wedged");
-        assert_eq!(ha[..120], hb[..120], "forged inputs desynced site 0");
+        assert_eq!(ha[..120], hb[..120], "the third endpoint desynced site 0");
+        (telemetry, mallory)
+    }
+
+    #[test]
+    fn inputs_forged_by_a_third_endpoint_are_dropped() {
+        // Site 1's partials from its first post-lag frame on, every button
+        // held: accepted, they would beat the real ones into site 0's
+        // first-write-wins buffer.
+        let forged = Message::Input(InputMsg {
+            from: 1,
+            ack: 0,
+            first: 6,
+            inputs: vec![InputWord(0xFFFF); 240],
+        });
+        let (telemetry, _) = under_attack(|tick| {
+            let due = tick % 50 == 0;
+            due.then(|| forged.clone()).into_iter().collect()
+        });
         assert!(telemetry.counter("input_spoofed_total") > 0);
+    }
+
+    #[test]
+    fn foreign_hellos_cannot_end_a_running_session() {
+        let foreign_rom = NullMachine::new().state_hash() ^ 1;
+        // A latecomer with the wrong cartridge, one claiming site 1, and a
+        // stray ack long after the handshake.
+        let hello = |site| Message::Hello {
+            site,
+            rom_hash: foreign_rom,
+            observer: false,
+        };
+        let ack = Message::HelloAck {
+            rom_hash: foreign_rom,
+            start_frame: 0,
+        };
+        let (telemetry, mut mallory) = under_attack(|tick| match tick {
+            500 => vec![hello(2), hello(1), ack.clone()],
+            _ => Vec::new(),
+        });
+        assert_eq!(telemetry.counter("hello_rejected_total"), 1);
+        assert_eq!(telemetry.counter("hello_spoofed_total"), 1);
+        // The foreign site was answered, never admitted.
+        let answers = drain(&mut mallory);
+        assert!(answers
+            .iter()
+            .any(|m| matches!(m, Message::HelloAck { .. })));
     }
 }

@@ -30,8 +30,8 @@ pub enum SyncError {
     /// The underlying datagram transport failed.
     Transport(TransportError),
     /// The two sites loaded different game images — lockstep would diverge
-    /// instantly, so the session refuses to start (§3.1's same-image
-    /// precondition).
+    /// instantly, so a connecting site whose handshake ack carries another
+    /// image's hash refuses to start (§3.1's same-image precondition).
     RomMismatch {
         /// Our game image hash.
         ours: u64,

@@ -71,12 +71,10 @@
 #![warn(missing_docs)]
 
 mod config;
-pub mod delta;
 mod driver;
 mod error;
 mod input_buffer;
 mod input_source;
-mod pool;
 mod predict;
 mod realtime;
 mod replay;
@@ -95,15 +93,12 @@ pub use driver::{
 pub use error::{StopReason, SyncError};
 pub use input_buffer::InputBuffer;
 pub use input_source::{Idle, InputSource, RandomPresser, Scripted};
-pub use pool::{BufferPool, PoolStats};
 pub use predict::{AssumeIdle, InputPredictor, RepeatLast};
 pub use realtime::{run_realtime, RunOutcome};
 pub use replay::{Recording, ReplayError, CHECKPOINT_INTERVAL};
 pub use rtt::{RttEstimator, DEFAULT_PING_INTERVAL};
 pub use session::SessionDriver;
-pub use snapshot::{
-    CheckpointInfo, CheckpointReport, CompressionStats, RestoreError, SnapshotRing,
-};
+pub use snapshot::{CheckpointInfo, CheckpointReport, RestoreError, SnapshotRing};
 pub use stats::SessionStats;
 pub use sync_input::{InputSync, MasterObservation, RecvOutcome, OBSERVER_SITE, RETAIN_FRAMES};
 pub use timing::{FrameEnd, FrameTimer};

@@ -6,107 +6,89 @@
 //! so that a checkpoint always exists inside the speculation window (see
 //! [`SnapshotRing::capacity_for`]).
 //!
-//! # Storage: one full tail + chained back-deltas
+//! # Storage: one full tail + raw back-patches
 //!
-//! Storing every checkpoint as a full `save_state` copy costs
-//! `capacity × state_size` bytes and a full memcpy per checkpoint.
-//! Consecutive checkpoints of a deterministic game are nearly identical,
-//! so the ring keeps exactly one full image — `tail_full`, the *newest*
-//! checkpoint — and stores every older slot as a *back-delta*: an XOR/RLE
-//! patch (see [`crate::delta`]) that transforms a slot's own state into
-//! the previous (older) slot's state. Restoring frame `k` copies the tail
-//! and applies back-deltas newest-first until the walk reaches `k`.
+//! Only inputs cross the network, and any site can rebuild a frame's state
+//! by replaying the input log, so a checkpoint is a cache for fast
+//! restores, not an archive. The ring keeps exactly one full image — the
+//! tail, the *newest* checkpoint's state — and gives every slot a
+//! *back-patch* that turns the slot's state into the previous (older)
+//! slot's state. [`SnapshotRing::checkpoint_from`] picks the patch by one
+//! rule:
 //!
-//! Pointing the chain backwards has two payoffs over the older
-//! keyframe-plus-forward-delta layout:
+//! * **Range patch.** When the machine's drained dirty bitmap has the
+//!   tail's length and is not saturated, the patch is the old tail's bytes
+//!   over the dirty ranges, copied out just before the machine rewrites
+//!   those ranges in place. Capture is O(dirty).
+//! * **Whole-image patch.** Otherwise — the first capture, a saturated
+//!   bitmap, a machine without dirty tracking, or a resized state — the
+//!   patch is the whole previous image, taken by swapping the tail buffer
+//!   out rather than copying it, and the slot's bitmap is saturated.
 //!
-//! * **Push is O(dirty).** A new checkpoint encodes against the previous
-//!   tail, and [`SnapshotRing::push_dirty`] narrows that scan to the byte
-//!   ranges a [`DirtyPages`] bitmap says may have changed — no keyframe
-//!   cadence ever forces an 84 KiB memcpy back into the hot path.
-//! * **Eviction is O(1).** The oldest slot's back-delta points *out of*
-//!   the ring (to a state nobody retains), so eviction just recycles its
-//!   buffer — no promotion step re-applying deltas.
+//! [`SnapshotRing::rewind_into`] pops the slots newer than the target
+//! newest-first and applies each patch to the tail: a range copy, or a
+//! buffer swap for a whole image. Eviction is O(1): the oldest slot's patch
+//! points at a state the ring no longer retains, so nothing is rewritten.
 //!
-//! Each slot also retains its dirty bitmap. A rollback via
-//! [`SnapshotRing::rewind_into`] unions the bitmaps of every slot it pops,
-//! yielding (by the triangle inequality on byte diffs) a sound
-//! over-approximation of which pages differ between the machine's present
-//! state and the restore target — so `Machine::load_state_dirty` touches
-//! only those pages.
+//! A slot's bitmap marks every page its patch may change. A rewind unions
+//! the bitmaps of the slots it pops, yielding (by the triangle inequality
+//! on byte diffs) a sound over-approximation of which pages differ between
+//! the machine's present state and the restore target — so
+//! `Machine::load_state_dirty` touches only those pages.
 //!
-//! All slot buffers and bitmaps cycle through pools, so the steady-state
-//! checkpoint path allocates nothing.
+//! Evicted and popped slots return their buffers to one free list, so the
+//! steady-state checkpoint path allocates nothing.
 
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::mem;
 
 use coplay_vm::{DirtyPages, Machine};
 
-use crate::delta::{self, DeltaError};
-use crate::pool::{BufferPool, PoolStats};
-
-/// Which patch format a slot's `data` holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PatchKind {
-    /// XOR/RLE back-delta (see [`crate::delta`]); self-describing, may
-    /// change the state length.
-    Delta,
-    /// The previous state's raw bytes over the slot's dirty ranges,
-    /// concatenated in range order — applied by memcpy alone, no decode
-    /// scan. Produced only by [`SnapshotRing::checkpoint_from`]'s hot
-    /// path, where both states have the same length.
-    Ranges,
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Slot {
     frame: u64,
     hash: u64,
     /// Back-patch: applied to *this* slot's full state it yields the
-    /// previous (older) slot's full state. The oldest slot's patch
-    /// targets a state the ring no longer retains and is never applied.
+    /// previous (older) slot's full state. The oldest slot's patch targets
+    /// a state the ring no longer retains and is never applied.
     data: Vec<u8>,
-    /// How to interpret `data`.
-    kind: PatchKind,
     /// Pages that may differ between this slot's state and the previous
-    /// slot's state (superset of the bytes `data` touches; for
-    /// [`PatchKind::Ranges`] it *is* the patch's range list).
+    /// slot's. Saturated: `data` is the whole previous image. Otherwise
+    /// `data` is the previous state's bytes over these ranges,
+    /// concatenated in range order.
     dirty: DirtyPages,
 }
 
 impl Slot {
-    /// Applies this slot's back-patch to `buf`, turning this slot's state
-    /// into the previous slot's state.
-    fn apply(&self, buf: &mut Vec<u8>) -> Result<(), RestoreError> {
-        match self.kind {
-            PatchKind::Delta => Ok(delta::apply_in_place(buf, &self.data)?),
-            PatchKind::Ranges => apply_ranges(buf, &self.data, &self.dirty),
+    /// Applies this slot's back-patch to `tail`, turning this slot's state
+    /// into the previous slot's state. A whole-image patch swaps buffers,
+    /// leaving the replaced image in `data`.
+    fn apply(&mut self, tail: &mut Vec<u8>) -> Result<(), RestoreError> {
+        if self.dirty.is_all() {
+            mem::swap(tail, &mut self.data);
+            return Ok(());
         }
+        apply_ranges(tail, &self.data, &self.dirty)
+            .ok_or(RestoreError::Corrupt { frame: self.frame })
     }
 }
 
-/// Applies a raw-range back-patch: `data` holds the previous state's bytes
-/// over `dirty`'s ranges, concatenated in range order.
-fn apply_ranges(buf: &mut [u8], data: &[u8], dirty: &DirtyPages) -> Result<(), RestoreError> {
+/// Copies a range patch into `buf`: `data` holds the bytes over `dirty`'s
+/// ranges, concatenated in range order. `None` if the patch does not fit
+/// `buf` exactly — the slot is corrupt.
+fn apply_ranges(buf: &mut [u8], data: &[u8], dirty: &DirtyPages) -> Option<()> {
+    // A range patch never changes the state length.
     if dirty.len() != buf.len() {
-        // A range patch never changes the state length; disagreement
-        // means the slot is corrupt.
-        return Err(RestoreError::Delta(DeltaError::Overrun));
+        return None;
     }
     let mut off = 0;
     for (s, e) in dirty.byte_ranges() {
-        let src = data
-            .get(off..off + (e - s))
-            .ok_or(RestoreError::Delta(DeltaError::Truncated))?;
-        buf[s..e].copy_from_slice(src);
+        buf[s..e].copy_from_slice(data.get(off..off + (e - s))?);
         off += e - s;
     }
-    if off != data.len() {
-        return Err(RestoreError::Delta(DeltaError::BadCoverage));
-    }
-    Ok(())
+    (off == data.len()).then_some(())
 }
 
 /// What [`SnapshotRing::checkpoint_from`] captured, for telemetry.
@@ -114,17 +96,13 @@ fn apply_ranges(buf: &mut [u8], data: &[u8], dirty: &DirtyPages) -> Result<(), R
 pub struct CheckpointReport {
     /// Full serialized length of the captured state.
     pub state_len: usize,
-    /// Bytes the ring stored for this checkpoint (the back-patch, or the
-    /// full image for the first checkpoint).
-    pub stored_bytes: usize,
     /// Bytes of the image the capture rewrote (sum of the dirty ranges).
     pub dirty_bytes: usize,
     /// Pages the machine reported dirty since the previous capture.
     pub dirty_pages: usize,
 }
 
-/// Metadata for a checkpoint served by [`SnapshotRing::restore_into`] or
-/// [`SnapshotRing::rewind_into`].
+/// Metadata for the checkpoint [`SnapshotRing::rewind_into`] restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointInfo {
     /// The frame this state precedes: restoring it positions the machine
@@ -133,10 +111,6 @@ pub struct CheckpointInfo {
     /// `Machine::state_hash` at capture time — callers verify the restored
     /// machine reproduces it.
     pub hash: u64,
-    /// Bytes the ring stores for this checkpoint (its back-delta; the
-    /// newest slot's full image lives in the shared tail and is counted
-    /// by [`SnapshotRing::bytes`]).
-    pub stored_bytes: usize,
 }
 
 /// Error restoring a checkpoint from the ring.
@@ -147,8 +121,11 @@ pub enum RestoreError {
         /// The requested rollback frame.
         frame: u64,
     },
-    /// A stored delta failed to apply (corrupt slot).
-    Delta(DeltaError),
+    /// A stored range patch does not fit the image it patches.
+    Corrupt {
+        /// The checkpoint whose patch failed to apply.
+        frame: u64,
+    },
 }
 
 impl fmt::Display for RestoreError {
@@ -157,54 +134,27 @@ impl fmt::Display for RestoreError {
             RestoreError::NoCheckpoint { frame } => {
                 write!(f, "no rollback checkpoint at or before frame {frame}")
             }
-            RestoreError::Delta(e) => write!(f, "checkpoint delta corrupt: {e}"),
+            RestoreError::Corrupt { frame } => {
+                write!(f, "checkpoint patch for frame {frame} is corrupt")
+            }
         }
     }
 }
 
 impl Error for RestoreError {}
 
-impl From<DeltaError> for RestoreError {
-    fn from(e: DeltaError) -> RestoreError {
-        RestoreError::Delta(e)
-    }
-}
-
-/// Compression statistics accumulated across every push.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompressionStats {
-    /// Total full-state bytes offered to the ring.
-    pub full_bytes: u64,
-    /// Total bytes actually stored (the first push's full tail copy plus
-    /// every subsequent back-delta).
-    pub stored_bytes: u64,
-}
-
-impl CompressionStats {
-    /// Full-to-stored ratio in thousandths: 4000 means checkpoints average
-    /// 4× smaller than full copies; 1000 when nothing was pushed. Integer
-    /// so the deterministic core stays float-free.
-    pub fn ratio_milli(&self) -> u64 {
-        self.full_bytes
-            .saturating_mul(1000)
-            .checked_div(self.stored_bytes)
-            .unwrap_or(1000)
-    }
-}
-
 /// A bounded FIFO of checkpoints ordered by frame, stored as one full
-/// newest-state image plus chained back-deltas over pooled buffers.
+/// newest-state image plus chained back-patches over recycled buffers.
 #[derive(Debug)]
 pub struct SnapshotRing {
     slots: VecDeque<Slot>,
     capacity: usize,
-    /// Full state of the newest checkpoint — the base every restore walk
-    /// starts from and the reference the next push diffs against.
-    tail_full: Vec<u8>,
-    pool: BufferPool,
-    /// Recycled dirty bitmaps, bounded like the buffer pool.
-    dirty_pool: Vec<DirtyPages>,
-    stats: CompressionStats,
+    /// Full state of the newest checkpoint — the base every rewind patches
+    /// and the image the next capture rewrites.
+    tail: Vec<u8>,
+    /// Recycled slots, whose patch buffers and bitmaps the next captures
+    /// reuse; at most `capacity + 1`.
+    spare: Vec<Slot>,
 }
 
 impl SnapshotRing {
@@ -221,12 +171,11 @@ impl SnapshotRing {
             slots: VecDeque::with_capacity(capacity),
             capacity,
             // detlint: allow(hot_alloc) -- grows once to state size, then reused
-            tail_full: Vec::new(),
-            // One buffer per slot plus the one in flight during a push.
-            pool: BufferPool::new(capacity + 1),
+            tail: Vec::new(),
+            // One slot per retained checkpoint plus the one in flight
+            // during a capture.
             // detlint: allow(hot_alloc) -- one-time constructor allocation, not per-frame
-            dirty_pool: Vec::with_capacity(capacity + 1),
-            stats: CompressionStats::default(),
+            spare: Vec::with_capacity(capacity + 1),
         }
     }
 
@@ -239,104 +188,19 @@ impl SnapshotRing {
         (max_rollback_frames / interval) as usize + 2
     }
 
-    fn take_dirty_buf(&mut self) -> DirtyPages {
-        self.dirty_pool.pop().unwrap_or_default()
-    }
-
-    fn give_dirty_buf(&mut self, d: DirtyPages) {
-        if self.dirty_pool.len() < self.capacity + 1 {
-            self.dirty_pool.push(d);
+    /// Returns a popped or evicted slot's buffers to the free list.
+    fn recycle(&mut self, slot: Slot) {
+        if self.spare.len() <= self.capacity {
+            self.spare.push(slot);
         }
     }
 
-    /// Appends a checkpoint, evicting the oldest when full.
-    ///
-    /// `state` is borrowed, not consumed: callers capture into a reusable
-    /// buffer (`Machine::save_state_into`) and the ring copies into pooled
-    /// storage. This full-scan variant diffs every byte of `state` against
-    /// the previous checkpoint; prefer [`SnapshotRing::push_dirty`] when a
-    /// dirty bitmap is available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame` is not strictly greater than the newest retained
-    /// frame — checkpoints must arrive in execution order.
-    pub fn push(&mut self, frame: u64, state: &[u8], hash: u64) {
-        self.push_dirty(frame, state, hash, &DirtyPages::all_dirty(state.len()));
-    }
-
-    /// Appends a checkpoint like [`SnapshotRing::push`], but restricts the
-    /// diff scan and the tail update to the byte ranges `dirty` marks.
-    ///
-    /// `dirty` must be a sound over-approximation of the bytes where
-    /// `state` differs from the *previously pushed* state (extra marked
-    /// pages cost only scan time; missing ones corrupt restores). A
-    /// saturated bitmap or one whose length disagrees with `state`
-    /// degrades to the full scan, so callers without tracking stay
-    /// correct.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame` is not strictly greater than the newest retained
-    /// frame — checkpoints must arrive in execution order.
-    pub fn push_dirty(&mut self, frame: u64, state: &[u8], hash: u64, dirty: &DirtyPages) {
-        if let Some(newest) = self.newest_frame() {
-            assert!(frame > newest, "checkpoints must be pushed in order");
-        }
-        if self.slots.len() == self.capacity {
-            self.evict_front();
-        }
-        let mut data = self.pool.take();
-        let mut slot_dirty = self.take_dirty_buf();
-        if self.slots.is_empty() {
-            // First checkpoint: the full image lives in the tail; the
-            // slot's back-delta targets nothing and stays empty.
-            data.clear();
-            self.tail_full.clear();
-            self.tail_full.extend_from_slice(state);
-            slot_dirty.reset(state.len());
-            slot_dirty.mark_all();
-            self.stats.stored_bytes += state.len() as u64;
-        } else {
-            // Back-delta: applying it to `state` must yield the old tail.
-            delta::encode_dirty_into(state, &self.tail_full, dirty, &mut data);
-            self.stats.stored_bytes += data.len() as u64;
-            if dirty.len() == state.len() && self.tail_full.len() == state.len() {
-                slot_dirty.copy_from(dirty);
-                for (s, e) in dirty.byte_ranges() {
-                    self.tail_full[s..e].copy_from_slice(&state[s..e]);
-                }
-            } else {
-                slot_dirty.reset(state.len());
-                slot_dirty.mark_all();
-                self.tail_full.clear();
-                self.tail_full.extend_from_slice(state);
-            }
-        }
-        self.stats.full_bytes += state.len() as u64;
-        self.slots.push_back(Slot {
-            frame,
-            hash,
-            data,
-            kind: PatchKind::Delta,
-            dirty: slot_dirty,
-        });
-    }
-
-    /// Captures a checkpoint directly from `machine` into the ring — the
-    /// zero-copy successor to capture-into-a-buffer-then-
-    /// [`push_dirty`](SnapshotRing::push_dirty). The machine's dirty
-    /// accumulators are drained once; the tail bytes those ranges are
-    /// about to overwrite are saved as a raw [`PatchKind::Ranges`]
-    /// back-patch; then the machine writes its new bytes straight into
-    /// the tail. Both directions are pure memcpy — no XOR/RLE scan runs
-    /// on this path, and no intermediate full-image buffer exists.
-    ///
-    /// Falls back to a full capture when the ring is empty (the first
-    /// checkpoint stores the full image) and to an XOR/RLE back-delta
-    /// when the dirty set spans at least half the image or the state
-    /// length changed — there the encode scan earns its cost by
-    /// collapsing unchanged bytes inside the marked ranges.
+    /// Captures a checkpoint directly from `machine` into the ring,
+    /// evicting the oldest when full. The machine's dirty accumulators are
+    /// drained once, and the back-patch follows the module's capture rule:
+    /// the old tail bytes over the dirty ranges when the bitmap is exact,
+    /// else the whole previous image, swapped out of the tail. Neither
+    /// path scans or encodes bytes.
     ///
     /// `hash` is the machine's `state_hash()` at capture time, passed in
     /// so the ring stays agnostic of hashing policy.
@@ -355,92 +219,40 @@ impl SnapshotRing {
             assert!(frame > newest, "checkpoints must be pushed in order");
         }
         if self.slots.len() == self.capacity {
-            self.evict_front();
-        }
-        let mut data = self.pool.take();
-        let mut slot_dirty = self.take_dirty_buf();
-        machine.collect_dirty_into(&mut slot_dirty);
-        // Popcount approximation of the dirty volume (exact to within the
-        // final page's clamp) — enough for the path decision and far
-        // cheaper than walking the ranges twice.
-        let dirty_pages = slot_dirty.count_pages();
-        let dirty_bytes;
-        let kind;
-        if self.slots.is_empty() {
-            // First checkpoint: the full image lives in the tail; the
-            // slot's back-patch targets nothing and stays empty.
-            machine.save_state_into(&mut self.tail_full);
-            slot_dirty.reset(self.tail_full.len());
-            slot_dirty.mark_all();
-            self.stats.stored_bytes += self.tail_full.len() as u64;
-            dirty_bytes = self.tail_full.len();
-            kind = PatchKind::Delta;
-        } else if slot_dirty.len() == self.tail_full.len()
-            && dirty_pages * coplay_vm::DIRTY_PAGE_SIZE * 2 < self.tail_full.len()
-        {
-            // Hot path: memcpy the soon-overwritten tail bytes out as the
-            // back-patch, then let the machine rewrite exactly those
-            // ranges in place.
-            for (s, e) in slot_dirty.byte_ranges() {
-                data.extend_from_slice(&self.tail_full[s..e]);
+            if let Some(oldest) = self.slots.pop_front() {
+                self.recycle(oldest);
             }
-            machine.save_state_ranges_into(&mut self.tail_full, &slot_dirty);
-            self.stats.stored_bytes += data.len() as u64;
-            dirty_bytes = data.len();
-            kind = PatchKind::Ranges;
+        }
+        // Empty buffers until the ring first fills; recycled ones after.
+        let mut slot = self.spare.pop().unwrap_or_default();
+        slot.frame = frame;
+        slot.hash = hash;
+        slot.data.clear();
+        machine.collect_dirty_into(&mut slot.dirty);
+        let exact =
+            !self.slots.is_empty() && !slot.dirty.is_all() && slot.dirty.len() == self.tail.len();
+        let dirty_bytes = if exact {
+            // Copy out the tail bytes the machine is about to rewrite,
+            // then let it rewrite exactly those ranges in place.
+            for (s, e) in slot.dirty.byte_ranges() {
+                slot.data.extend_from_slice(&self.tail[s..e]);
+            }
+            machine.save_state_ranges_into(&mut self.tail, &slot.dirty);
+            slot.data.len()
         } else {
-            // Wide or resized dirty set: capture in full and store an
-            // XOR/RLE delta, which compresses far below the ranges' raw
-            // size when most marked bytes did not actually change.
-            let old = std::mem::replace(&mut self.tail_full, self.pool.take());
-            machine.save_state_into(&mut self.tail_full);
-            if slot_dirty.len() == self.tail_full.len() && slot_dirty.len() == old.len() {
-                delta::encode_dirty_into(&self.tail_full, &old, &slot_dirty, &mut data);
-            } else {
-                delta::encode_into(&self.tail_full, &old, &mut data);
-                slot_dirty.reset(self.tail_full.len());
-                slot_dirty.mark_all();
-            }
-            self.pool.give(old);
-            self.stats.stored_bytes += data.len() as u64;
-            dirty_bytes = slot_dirty.byte_ranges().map(|(s, e)| e - s).sum();
-            kind = PatchKind::Delta;
-        }
-        self.stats.full_bytes += self.tail_full.len() as u64;
-        let report = CheckpointReport {
-            state_len: self.tail_full.len(),
-            stored_bytes: if self.slots.is_empty() {
-                self.tail_full.len()
-            } else {
-                data.len()
-            },
-            dirty_bytes,
-            dirty_pages: slot_dirty.count_pages(),
+            mem::swap(&mut self.tail, &mut slot.data);
+            machine.save_state_into(&mut self.tail);
+            slot.dirty.reset(self.tail.len());
+            slot.dirty.mark_all();
+            self.tail.len()
         };
-        self.slots.push_back(Slot {
-            frame,
-            hash,
-            data,
-            kind,
-            dirty: slot_dirty,
-        });
+        let report = CheckpointReport {
+            state_len: self.tail.len(),
+            dirty_bytes,
+            dirty_pages: slot.dirty.count_pages(),
+        };
+        self.slots.push_back(slot);
         report
-    }
-
-    /// Serialized length of the newest checkpoint's state (0 when the
-    /// ring is empty).
-    pub fn state_len(&self) -> usize {
-        self.tail_full.len()
-    }
-
-    /// Drops the oldest slot. Its back-delta points at a state the ring no
-    /// longer retains, so nothing needs re-encoding — both buffers are
-    /// simply recycled.
-    fn evict_front(&mut self) {
-        if let Some(front) = self.slots.pop_front() {
-            self.pool.give(front.data);
-            self.give_dirty_buf(front.dirty);
-        }
     }
 
     /// Index of the most recent slot at or before `frame`.
@@ -450,50 +262,18 @@ impl SnapshotRing {
             .find(|&i| self.slots[i].frame <= frame)
     }
 
-    /// Reconstructs the most recent checkpoint at or before `frame` into
-    /// `out` (cleared first; allocation reused across rollbacks) and
-    /// returns its metadata. The ring is not modified; the walk copies the
-    /// tail and applies every newer slot's back-delta.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError::NoCheckpoint`] if no retained checkpoint is old
-    /// enough; [`RestoreError::Delta`] if a stored delta is corrupt (the
-    /// state in `out` is then garbage and must not be loaded).
-    pub fn restore_into(
-        &self,
-        frame: u64,
-        out: &mut Vec<u8>,
-    ) -> Result<CheckpointInfo, RestoreError> {
-        let idx = self
-            .floor_index(frame)
-            .ok_or(RestoreError::NoCheckpoint { frame })?;
-        out.clear();
-        out.extend_from_slice(&self.tail_full);
-        for i in (idx + 1..self.slots.len()).rev() {
-            self.slots[i].apply(out)?;
-        }
-        let slot = &self.slots[idx];
-        Ok(CheckpointInfo {
-            frame: slot.frame,
-            hash: slot.hash,
-            stored_bytes: slot.data.len(),
-        })
-    }
-
     /// Rolls the ring back to the most recent checkpoint at or before
-    /// `frame`, writing that state's changed byte ranges into `out` and
-    /// the union of every popped slot's dirty pages into `dirty`.
+    /// `frame`, discarding every newer checkpoint (each was computed from
+    /// a state the rollback is about to rewrite). Writes that state's
+    /// changed byte ranges into `out` and the union of every popped slot's
+    /// dirty pages into `dirty`, touching only O(dirty) bytes.
     ///
-    /// This is the hot rollback path: it combines
-    /// [`SnapshotRing::restore_into`] and [`SnapshotRing::discard_after`]
-    /// while touching only O(dirty) bytes. On entry `dirty` should hold
-    /// the machine's own accumulated dirty pages (covering how the live
-    /// state has drifted from the newest checkpoint); on return it
-    /// over-approximates every byte where the machine's present state
-    /// differs from the restore target, and `out` holds valid target-state
-    /// bytes *at least* in those ranges. Callers pass both straight to
-    /// `Machine::load_state_dirty`.
+    /// On entry `dirty` should hold the machine's own accumulated dirty
+    /// pages (covering how the live state has drifted from the newest
+    /// checkpoint); on return it over-approximates every byte where the
+    /// machine's present state differs from the restore target, and `out`
+    /// holds valid target-state bytes *at least* in those ranges. Callers
+    /// pass both straight to `Machine::load_state_dirty`.
     ///
     /// If `out` or `dirty` disagree with the checkpoint length (first
     /// rollback, or the game resized its state) both degrade to a full
@@ -502,8 +282,8 @@ impl SnapshotRing {
     /// # Errors
     ///
     /// [`RestoreError::NoCheckpoint`] if no retained checkpoint is old
-    /// enough — the ring is then left unmodified. [`RestoreError::Delta`]
-    /// if a stored delta is corrupt; the ring's tail is then garbage and
+    /// enough — the ring is then left unmodified. [`RestoreError::Corrupt`]
+    /// if a stored patch does not fit; the ring's tail is then garbage and
     /// the session must fall back to a fresh full checkpoint.
     pub fn rewind_into(
         &mut self,
@@ -514,60 +294,39 @@ impl SnapshotRing {
         let idx = self
             .floor_index(frame)
             .ok_or(RestoreError::NoCheckpoint { frame })?;
-        if dirty.len() != self.tail_full.len() {
-            dirty.reset(self.tail_full.len());
+        if dirty.len() != self.tail.len() {
+            dirty.reset(self.tail.len());
             dirty.mark_all();
         }
         while self.slots.len() > idx + 1 {
-            if let Some(slot) = self.slots.pop_back() {
+            if let Some(mut slot) = self.slots.pop_back() {
                 dirty.union(&slot.dirty);
-                slot.apply(&mut self.tail_full)?;
-                self.pool.give(slot.data);
-                self.give_dirty_buf(slot.dirty);
+                slot.apply(&mut self.tail)?;
+                self.recycle(slot);
             }
         }
-        // Popping back-deltas can change the tail length (a resize between
-        // checkpoints); `union` already saturated `dirty` in that case but
-        // its recorded length must match what `out` receives.
-        if dirty.len() != self.tail_full.len() {
-            dirty.reset(self.tail_full.len());
+        // Popping a whole-image patch can change the tail length (a resize
+        // between checkpoints); `union` already saturated `dirty` in that
+        // case but its recorded length must match what `out` receives.
+        if dirty.len() != self.tail.len() {
+            dirty.reset(self.tail.len());
             dirty.mark_all();
         }
-        if out.len() == self.tail_full.len() {
+        if out.len() == self.tail.len() {
             for (s, e) in dirty.byte_ranges() {
-                out[s..e].copy_from_slice(&self.tail_full[s..e]);
+                out[s..e].copy_from_slice(&self.tail[s..e]);
             }
         } else {
             dirty.mark_all();
             out.clear();
-            out.extend_from_slice(&self.tail_full);
+            out.extend_from_slice(&self.tail);
         }
         // detlint: allow(panic_path) -- floor_index returned idx, so the slot exists
         let slot = self.slots.back().expect("floor slot survives the rewind");
         Ok(CheckpointInfo {
             frame: slot.frame,
             hash: slot.hash,
-            stored_bytes: slot.data.len(),
         })
-    }
-
-    /// Discards checkpoints newer than `frame` — they were computed from a
-    /// state a rollback is about to rewrite — rolling the tail image back
-    /// to the newest survivor by applying the popped back-deltas.
-    pub fn discard_after(&mut self, frame: u64) {
-        while self.slots.back().is_some_and(|s| s.frame > frame) {
-            if let Some(slot) = self.slots.pop_back() {
-                if self.slots.is_empty() {
-                    self.tail_full.clear();
-                } else {
-                    slot.apply(&mut self.tail_full)
-                        // detlint: allow(panic_path) -- patch was produced by this ring against this base
-                        .expect("self-produced checkpoint patch applies");
-                }
-                self.pool.give(slot.data);
-                self.give_dirty_buf(slot.dirty);
-            }
-        }
     }
 
     /// Number of retained checkpoints.
@@ -590,20 +349,10 @@ impl SnapshotRing {
         self.slots.front().map(|s| s.frame)
     }
 
-    /// Total bytes currently retained — stored back-deltas plus the single
-    /// full newest-state image (memory accounting).
+    /// Total bytes currently retained — stored back-patches plus the
+    /// single full newest-state image (memory accounting).
     pub fn bytes(&self) -> usize {
-        self.slots.iter().map(|s| s.data.len()).sum::<usize>() + self.tail_full.len()
-    }
-
-    /// Cumulative full-vs-stored compression statistics.
-    pub fn compression(&self) -> CompressionStats {
-        self.stats
-    }
-
-    /// Cumulative buffer-pool reuse statistics.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        self.slots.iter().map(|s| s.data.len()).sum::<usize>() + self.tail.len()
     }
 }
 
@@ -620,249 +369,327 @@ impl Default for SnapshotRing {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use coplay_vm::{fnv1a, FrameBuffer, InputWord, MachineInfo, StateError};
+
     use super::*;
 
-    /// A deterministic ~1 KiB state that changes sparsely per frame, like
-    /// a real machine snapshot.
-    fn state_for(frame: u64) -> Vec<u8> {
-        let mut s = vec![0xA5u8; 1024];
-        s[0..8].copy_from_slice(&frame.to_le_bytes());
-        let hot = ((frame as usize).wrapping_mul(97)) % 1000;
-        s[hot] = frame as u8;
-        s[hot + 13] ^= 0x3C;
-        s
+    const LEN: usize = 1024;
+
+    /// A byte-array machine. `tracked` records exactly the pages each
+    /// write touches, like the console's write barriers; untracked keeps
+    /// the trait's saturated `collect_dirty_into`, like the native games.
+    struct Fake {
+        bytes: Vec<u8>,
+        dirty: DirtyPages,
+        tracked: bool,
+        fb: FrameBuffer,
     }
 
-    /// Exact dirty bitmap for the transition `prev -> next`.
-    fn dirty_between(prev: &[u8], next: &[u8]) -> DirtyPages {
-        let mut d = DirtyPages::new(next.len());
-        if prev.len() != next.len() {
-            d.mark_all();
-            return d;
-        }
-        for (i, (a, b)) in prev.iter().zip(next).enumerate() {
-            if a != b {
-                d.mark(i);
+    impl Fake {
+        fn new(tracked: bool) -> Fake {
+            let mut bytes = vec![0xA5; LEN];
+            bytes[..8].fill(0); // frame counter
+            Fake {
+                bytes,
+                dirty: DirtyPages::all_dirty(LEN),
+                tracked,
+                fb: FrameBuffer::new(8, 8),
             }
         }
-        d
+
+        fn write(&mut self, off: usize, v: u8) {
+            self.bytes[off] = v;
+            self.dirty.mark(off);
+        }
+
+        fn resize(&mut self, len: usize) {
+            self.bytes.resize(len, 0x5A);
+            self.dirty = DirtyPages::all_dirty(len);
+        }
     }
 
-    fn ring_with(frames: &[u64]) -> SnapshotRing {
-        let mut r = SnapshotRing::new(8);
-        for &f in frames {
-            r.push(f, &state_for(f), f * 10);
+    impl Machine for Fake {
+        fn info(&self) -> MachineInfo {
+            MachineInfo::new("Fake", 2)
         }
-        r
+
+        fn reset(&mut self) {}
+
+        /// Bumps the frame counter in bytes 0..8 and rewrites two hot
+        /// bytes; every seventh frame also rewrites a third of the image,
+        /// dirtying every page.
+        fn step_frame(&mut self, input: InputWord) {
+            let f = self.frame() + 1;
+            for (i, b) in f.to_le_bytes().into_iter().enumerate() {
+                self.write(i, b);
+            }
+            let hot = 8 + (f as usize).wrapping_mul(97) % (self.bytes.len() - 24);
+            self.write(hot, input.0 as u8);
+            self.write(hot + 13, !(input.0 as u8));
+            if f.is_multiple_of(7) {
+                for i in (8..self.bytes.len()).step_by(3) {
+                    self.write(i, (f as u8) ^ (i as u8));
+                }
+            }
+        }
+
+        fn frame(&self) -> u64 {
+            u64::from_le_bytes(self.bytes[..8].try_into().unwrap())
+        }
+
+        fn framebuffer(&self) -> &FrameBuffer {
+            &self.fb
+        }
+
+        fn state_hash(&self) -> u64 {
+            fnv1a(&self.bytes)
+        }
+
+        fn save_state(&self) -> Vec<u8> {
+            self.bytes.clone()
+        }
+
+        fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+            self.bytes = bytes.to_vec();
+            self.dirty = DirtyPages::all_dirty(bytes.len());
+            Ok(())
+        }
+
+        fn collect_dirty_into(&mut self, out: &mut DirtyPages) {
+            if self.tracked {
+                out.copy_from(&self.dirty);
+                self.dirty.reset(self.bytes.len());
+            } else {
+                out.reset(0);
+                out.mark_all();
+            }
+        }
+
+        fn save_state_ranges_into(&self, out: &mut Vec<u8>, dirty: &DirtyPages) {
+            if out.len() != self.bytes.len() || dirty.len() != self.bytes.len() {
+                return self.save_state_into(out);
+            }
+            for (s, e) in dirty.byte_ranges() {
+                out[s..e].copy_from_slice(&self.bytes[s..e]);
+            }
+        }
+
+        fn load_state_dirty(&mut self, bytes: &[u8], dirty: &DirtyPages) -> Result<(), StateError> {
+            if bytes.len() != self.bytes.len() || dirty.len() != self.bytes.len() {
+                return self.load_state(bytes);
+            }
+            for (s, e) in dirty.byte_ranges() {
+                self.bytes[s..e].copy_from_slice(&bytes[s..e]);
+                self.dirty.mark_range(s, e - s);
+            }
+            Ok(())
+        }
+    }
+
+    fn input(frame: u64) -> InputWord {
+        InputWord(frame.wrapping_mul(0x9E37_79B9) as u32)
+    }
+
+    /// Steps `m` through `frames`, checkpointing every `every` frames (as
+    /// the session does, skipping frames the ring already holds) and
+    /// recording each checkpoint's image.
+    fn play(
+        m: &mut Fake,
+        ring: &mut SnapshotRing,
+        frames: std::ops::Range<u64>,
+        every: u64,
+        images: &mut BTreeMap<u64, Vec<u8>>,
+    ) {
+        for f in frames {
+            if f.is_multiple_of(every) && ring.newest_frame().is_none_or(|n| n < f) {
+                ring.checkpoint_from(f, m.state_hash(), m);
+                images.insert(f, m.bytes.clone());
+            }
+            m.step_frame(input(f));
+        }
+    }
+
+    /// The session's rollback sequence: drain the machine's dirty pages,
+    /// rewind the ring, patch the machine.
+    fn rewind(
+        ring: &mut SnapshotRing,
+        m: &mut Fake,
+        frame: u64,
+    ) -> Result<CheckpointInfo, RestoreError> {
+        let mut dirty = DirtyPages::default();
+        m.collect_dirty_into(&mut dirty);
+        let mut out = vec![0xEE; m.bytes.len()];
+        let info = ring.rewind_into(frame, &mut out, &mut dirty)?;
+        m.load_state_dirty(&out, &dirty).unwrap();
+        Ok(info)
     }
 
     #[test]
-    fn push_evicts_oldest_at_capacity() {
+    fn checkpoints_evict_oldest_at_capacity() {
+        let mut m = Fake::new(true);
         let mut r = SnapshotRing::new(2);
-        r.push(0, &[0], 0);
-        r.push(5, &[5], 50);
-        r.push(10, &[10], 100);
+        play(&mut m, &mut r, 0..11, 5, &mut BTreeMap::new());
         assert_eq!(r.len(), 2);
         assert_eq!(r.oldest_frame(), Some(5));
         assert_eq!(r.newest_frame(), Some(10));
     }
 
     #[test]
-    fn restore_picks_the_floor_checkpoint() {
-        let r = ring_with(&[0, 5, 10, 15]);
-        let mut buf = Vec::new();
-        assert_eq!(r.restore_into(12, &mut buf).unwrap().frame, 10);
-        assert_eq!(buf, state_for(10));
-        assert_eq!(r.restore_into(10, &mut buf).unwrap().frame, 10);
-        let info = r.restore_into(4, &mut buf).unwrap();
-        assert_eq!((info.frame, info.hash), (0, 0));
-        assert_eq!(buf, state_for(0));
-        assert_eq!(
-            ring_with(&[5]).restore_into(4, &mut buf),
-            Err(RestoreError::NoCheckpoint { frame: 4 })
-        );
+    fn rewinds_land_on_the_floor_checkpoint_exactly() {
+        for tracked in [true, false] {
+            let mut m = Fake::new(tracked);
+            let mut r = SnapshotRing::new(4);
+            let mut images = BTreeMap::new();
+            // Checkpoints 0..=35 every 5 frames; 20, 25, 30, 35 survive.
+            play(&mut m, &mut r, 0..40, 5, &mut images);
+            let info = rewind(&mut r, &mut m, 33).unwrap();
+            assert_eq!(info.frame, 30);
+            assert_eq!(info.hash, fnv1a(&images[&30]));
+            assert_eq!(m.bytes, images[&30], "tracked={tracked}");
+            assert_eq!(r.newest_frame(), Some(30), "newer slots are discarded");
+            // Resimulate past a fresh checkpoint, then rewind deeper across
+            // both the re-recorded patch and the original ones.
+            play(&mut m, &mut r, 30..38, 5, &mut images);
+            assert_eq!(rewind(&mut r, &mut m, 36).unwrap().frame, 35);
+            assert_eq!(m.bytes, images[&35], "tracked={tracked}");
+            assert_eq!(rewind(&mut r, &mut m, 21).unwrap().frame, 20);
+            assert_eq!(m.bytes, images[&20], "tracked={tracked}");
+            // No floor: the ring is left untouched.
+            play(&mut m, &mut r, 20..26, 5, &mut images);
+            assert_eq!(
+                rewind(&mut r, &mut m, 19),
+                Err(RestoreError::NoCheckpoint { frame: 19 })
+            );
+            assert_eq!((r.len(), r.newest_frame()), (2, Some(25)));
+        }
     }
 
     #[test]
-    fn every_slot_restores_bit_identically() {
-        // Capacity 8 over 20 pushes: every restore walks back-deltas
-        // across several evictions.
+    fn mismatched_buffers_degrade_to_a_full_copy() {
+        let mut m = Fake::new(true);
         let mut r = SnapshotRing::new(8);
-        for f in 0..20 {
-            r.push(f, &state_for(f), f);
-        }
-        let mut buf = Vec::new();
-        for f in 12..20 {
-            let info = r.restore_into(f, &mut buf).unwrap();
-            assert_eq!(info.frame, f);
-            assert_eq!(buf, state_for(f), "frame {f}");
-        }
-    }
-
-    #[test]
-    fn dirty_guided_push_matches_full_scan_push() {
-        // A ring fed exact dirty bitmaps must be observationally identical
-        // to one fed saturated bitmaps (the full-scan reference), including
-        // across evictions and a mid-run discard_after.
-        let mut full = SnapshotRing::new(6);
-        let mut guided = SnapshotRing::new(6);
-        let mut prev = Vec::new();
-        let push_all =
-            |full: &mut SnapshotRing, guided: &mut SnapshotRing, prev: &mut Vec<u8>, f: u64| {
-                let s = state_for(f);
-                let d = dirty_between(prev, &s);
-                full.push(f, &s, f);
-                guided.push_dirty(f, &s, f, &d);
-                *prev = s;
-            };
-        for f in 0..17 {
-            push_all(&mut full, &mut guided, &mut prev, f);
-        }
-        full.discard_after(13);
-        guided.discard_after(13);
-        prev = state_for(13); // newest survivor is the next diff base
-        for f in 14..30 {
-            push_all(&mut full, &mut guided, &mut prev, f);
-        }
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for f in 24..30 {
-            let fa = full.restore_into(f, &mut a).unwrap();
-            let fb = guided.restore_into(f, &mut b).unwrap();
-            assert_eq!((fa.frame, fa.hash), (fb.frame, fb.hash), "frame {f}");
-            assert_eq!(a, b, "frame {f}");
-            assert_eq!(a, state_for(f), "frame {f}");
-        }
-        assert_eq!(
-            full.compression(),
-            guided.compression(),
-            "guided encoding must emit byte-identical deltas"
-        );
-    }
-
-    #[test]
-    fn rewind_restores_and_reports_the_dirty_union() {
-        let mut r = SnapshotRing::new(8);
-        let mut prev = Vec::new();
-        for f in 0..6 {
-            let s = state_for(f);
-            let d = dirty_between(&prev, &s);
-            r.push_dirty(f, &s, f * 10, &d);
-            prev = s;
-        }
-        // The machine drifted from checkpoint 5; its accumulator says so.
-        let live = state_for(9);
-        let mut dirty = dirty_between(&state_for(5), &live);
-        let mut out = live.clone(); // restore buffer holds the stale image
-        let info = r.rewind_into(2, &mut out, &mut dirty).unwrap();
-        assert_eq!((info.frame, info.hash), (2, 20));
-        assert_eq!(r.newest_frame(), Some(2), "newer slots are discarded");
-        assert_eq!(r.len(), 3);
-        // Every byte where `live` and the target differ must be both
-        // marked dirty and correctly restored in `out`.
-        let target = state_for(2);
-        let marked: Vec<(usize, usize)> = dirty.byte_ranges().collect();
-        for i in 0..target.len() {
-            let covered = marked.iter().any(|&(s, e)| s <= i && i < e);
-            if covered {
-                assert_eq!(out[i], target[i], "byte {i} restored");
-            } else {
-                assert_eq!(live[i], target[i], "byte {i} must not differ unmarked");
-            }
-        }
-        // The ring keeps working after the rewind: its tail re-based onto
-        // frame 2, so the next push diffs against it.
-        let next = state_for(3);
-        r.push_dirty(3, &next, 30, &dirty_between(&target, &next));
-        let mut buf = Vec::new();
-        r.restore_into(3, &mut buf).unwrap();
-        assert_eq!(buf, next);
-    }
-
-    #[test]
-    fn rewind_without_floor_leaves_the_ring_untouched() {
-        let mut r = ring_with(&[5, 10]);
-        let mut out = Vec::new();
-        let mut dirty = DirtyPages::new(0);
-        assert_eq!(
-            r.rewind_into(4, &mut out, &mut dirty),
-            Err(RestoreError::NoCheckpoint { frame: 4 })
-        );
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.newest_frame(), Some(10));
-    }
-
-    #[test]
-    fn rewind_with_mismatched_buffers_degrades_to_full_copy() {
-        let mut r = ring_with(&[0, 5, 10]);
+        let mut images = BTreeMap::new();
+        play(&mut m, &mut r, 0..11, 5, &mut images);
         let mut out = Vec::new(); // wrong length: forces the full path
         let mut dirty = DirtyPages::new(0); // wrong length: saturates
         let info = r.rewind_into(7, &mut out, &mut dirty).unwrap();
         assert_eq!(info.frame, 5);
-        assert_eq!(out, state_for(5));
+        assert_eq!(out, images[&5]);
         assert!(dirty.is_all());
         assert_eq!(dirty.len(), out.len());
     }
 
     #[test]
-    fn discard_after_drops_invalidated_checkpoints_and_rebases() {
-        let mut r = ring_with(&[0, 5, 10, 15]);
-        r.discard_after(7);
-        assert_eq!(r.newest_frame(), Some(5));
-        assert_eq!(r.len(), 2);
-        // New deltas encode against the surviving frame-5 state; restores
-        // after the discard must still be exact.
-        r.push(8, &state_for(8), 80);
-        let mut buf = Vec::new();
-        r.restore_into(8, &mut buf).unwrap();
-        assert_eq!(buf, state_for(8));
-        // Discarding at an exact checkpoint frame keeps it.
-        let mut r = ring_with(&[0, 5, 10]);
-        r.discard_after(10);
-        assert_eq!(r.newest_frame(), Some(10));
-        // Discarding everything empties the ring and clears the tail.
-        r.discard_after(0);
-        assert_eq!(r.newest_frame(), Some(0));
-        let mut r = ring_with(&[5, 10]);
-        r.discard_after(3);
-        assert!(r.is_empty());
-        assert_eq!(r.bytes(), 0);
-        r.push(4, &state_for(4), 40);
-        r.restore_into(4, &mut buf).unwrap();
-        assert_eq!(buf, state_for(4));
+    fn capture_rule_picks_ranges_or_the_whole_image() {
+        let mut m = Fake::new(true);
+        let mut r = SnapshotRing::new(8);
+        // First capture: the whole (empty) previous image.
+        let report = r.checkpoint_from(0, 0, &mut m);
+        assert_eq!((report.state_len, report.dirty_bytes), (LEN, LEN));
+        assert!(r.slots[0].dirty.is_all() && r.slots[0].data.is_empty());
+        // A sparse frame: a range patch as long as its dirty ranges.
+        m.step_frame(input(1));
+        let report = r.checkpoint_from(1, 0, &mut m);
+        let slot = r.slots.back().unwrap();
+        assert!(!slot.dirty.is_all());
+        assert_eq!(slot.data.len(), report.dirty_bytes);
+        assert!(report.dirty_bytes < LEN / 2);
+        // A frame that dirties every page is still a range patch.
+        for f in 2..=7 {
+            m.step_frame(input(f));
+        }
+        let report = r.checkpoint_from(7, 0, &mut m);
+        assert!(!r.slots.back().unwrap().dirty.is_all());
+        assert_eq!(report.dirty_bytes, LEN);
+        // A resize: the whole previous image, swapped out of the tail.
+        let before = m.bytes.clone();
+        m.resize(2 * LEN);
+        let report = r.checkpoint_from(8, 0, &mut m);
+        let slot = r.slots.back().unwrap();
+        assert!(slot.dirty.is_all());
+        assert_eq!(slot.data, before);
+        assert_eq!((report.state_len, report.dirty_bytes), (2 * LEN, 2 * LEN));
+        // ...and a rewind across it restores the old length.
+        m.step_frame(input(8));
+        assert_eq!(rewind(&mut r, &mut m, 7).unwrap().frame, 7);
+        assert_eq!(m.bytes, before);
+
+        // Without dirty tracking every capture patches the whole image.
+        let mut m = Fake::new(false);
+        let mut r = SnapshotRing::new(8);
+        r.checkpoint_from(0, 0, &mut m);
+        let before = m.bytes.clone();
+        m.step_frame(input(0));
+        r.checkpoint_from(1, 0, &mut m);
+        let slot = r.slots.back().unwrap();
+        assert!(slot.dirty.is_all());
+        assert_eq!(slot.data, before);
+        assert_eq!(r.bytes(), 2 * LEN);
     }
 
     #[test]
-    fn compression_beats_4x_on_sparse_changes() {
-        // Only the very first push stores a full image; every later
-        // checkpoint is a sparse back-delta.
+    fn corrupt_range_patches_are_rejected() {
+        let mut dirty = DirtyPages::new(1024);
+        dirty.mark_range(256, 256);
+        let data = vec![0xEE; 256];
+        let mut buf = vec![0u8; 1024];
+        assert!(apply_ranges(&mut buf, &data, &dirty).is_some());
+        assert!(buf[256..512].iter().all(|&b| b == 0xEE));
+        // Length disagreement: a range patch never resizes the state.
+        let mut short = vec![0u8; 512];
+        assert!(apply_ranges(&mut short, &data, &dirty).is_none());
+        // Truncated patch data underruns the marked ranges.
+        assert!(apply_ranges(&mut buf, &data[..100], &dirty).is_none());
+        // Excess patch data means the ranges did not consume it all.
+        let long = vec![0xEE; 300];
+        assert!(apply_ranges(&mut buf, &long, &dirty).is_none());
+
+        // The ring reports which checkpoint's patch failed.
+        let mut m = Fake::new(true);
         let mut r = SnapshotRing::new(8);
-        for f in 0..32 {
-            r.push(f, &state_for(f), f);
-        }
-        let c = r.compression();
-        assert!(c.ratio_milli() >= 4000, "ratio {} milli", c.ratio_milli());
-        assert_eq!(CompressionStats::default().ratio_milli(), 1000);
+        play(&mut m, &mut r, 0..3, 1, &mut BTreeMap::new());
+        r.slots[2].data.push(0);
+        assert_eq!(
+            rewind(&mut r, &mut m, 0),
+            Err(RestoreError::Corrupt { frame: 2 })
+        );
     }
 
     #[test]
-    fn steady_state_reuses_pooled_buffers() {
-        let mut r = SnapshotRing::new(8);
-        for f in 0..100 {
-            r.push(f, &state_for(f), f);
+    fn steady_state_recycles_slot_buffers() {
+        let mut m = Fake::new(false);
+        let mut r = SnapshotRing::new(4);
+        let mut images = BTreeMap::new();
+        play(&mut m, &mut r, 0..12, 1, &mut images);
+        let buffers = |r: &SnapshotRing| -> Vec<*const u8> {
+            let slots = r.slots.iter().chain(&r.spare);
+            slots
+                .map(|s| s.data.as_ptr())
+                .chain([r.tail.as_ptr()])
+                .collect()
+        };
+        let warm = buffers(&r);
+        play(&mut m, &mut r, 12..60, 1, &mut images);
+        // The two popped slots wait on the free list for the next captures.
+        let spare = r.spare.len();
+        rewind(&mut r, &mut m, 57).unwrap();
+        assert_eq!(r.spare.len(), spare + 2);
+        play(&mut m, &mut r, 57..90, 1, &mut images);
+        for p in buffers(&r) {
+            assert!(warm.contains(&p), "a buffer was allocated after warm-up");
         }
-        let stats = r.pool_stats();
-        // Warm-up allocates at most one buffer per slot (+1 headroom);
-        // everything after recycles.
-        assert!(stats.misses <= 9, "misses {}", stats.misses);
-        assert!(stats.hits >= 91, "hits {}", stats.hits);
-        assert!(stats.hit_rate_milli() > 900);
+        assert!(r.spare.len() <= 5);
     }
 
     #[test]
     #[should_panic(expected = "in order")]
-    fn out_of_order_push_panics() {
-        let mut r = ring_with(&[10]);
-        r.push(10, &[], 0);
+    fn out_of_order_checkpoint_panics() {
+        let mut m = Fake::new(true);
+        let mut r = SnapshotRing::new(4);
+        r.checkpoint_from(10, 0, &mut m);
+        r.checkpoint_from(10, 0, &mut m);
     }
 
     #[test]
@@ -873,8 +700,8 @@ mod tests {
 
     #[test]
     fn default_ring_covers_the_default_window() {
-        // Satellite fix: `Default` used to build a one-slot ring that
-        // thrashed on every push; it now routes through `capacity_for`.
+        // `Default` routes through `capacity_for` rather than building a
+        // one-slot ring that would thrash on every checkpoint.
         let r = SnapshotRing::default();
         assert_eq!(r.capacity, SnapshotRing::capacity_for(30, 5));
         assert_eq!(r.capacity, 8);
@@ -895,28 +722,24 @@ mod tests {
     fn restore_errors_display() {
         let e = RestoreError::NoCheckpoint { frame: 7 };
         assert!(e.to_string().contains("frame 7"));
-        let e = RestoreError::from(DeltaError::Truncated);
+        let e = RestoreError::Corrupt { frame: 9 };
         assert!(e.to_string().contains("corrupt"));
     }
 
     #[test]
-    fn checkpoint_from_walks_every_capture_path_and_restores_exactly() {
+    fn console_checkpoints_rewind_to_replayed_state() {
         use coplay_games::rom_pong_console;
-        use coplay_vm::InputWord;
 
         let mut m = rom_pong_console();
         let mut r = SnapshotRing::new(8);
         let input = |f: u64| InputWord((f as u32) & 3);
 
-        // First checkpoint: a full-image capture — the report says so.
+        // First checkpoint: a whole-image capture.
         m.step_frame(input(0));
         let report = r.checkpoint_from(0, m.state_hash(), &mut m);
         assert_eq!(report.dirty_bytes, report.state_len);
-        assert_eq!(report.stored_bytes, report.state_len);
-        assert_eq!(r.slots[0].kind, PatchKind::Delta);
 
-        // Steady state: a quiet game takes the raw-range hot path, and the
-        // slot's back-patch length equals the reported dirty bytes.
+        // Steady state: a quiet game dirties a small fraction of its image.
         for f in 1..=4 {
             m.step_frame(input(f));
         }
@@ -927,12 +750,10 @@ mod tests {
             report.dirty_bytes,
             report.state_len
         );
-        assert_eq!(r.slots.back().unwrap().kind, PatchKind::Ranges);
-        assert_eq!(r.slots.back().unwrap().data.len(), report.dirty_bytes);
+        assert!(!r.slots.back().unwrap().dirty.is_all());
 
-        // A full-image load saturates the accumulators, so the next
-        // checkpoint must refuse the range path and fall back to the
-        // XOR/RLE delta encoder.
+        // A full-image load marks every page, so the next checkpoint's
+        // range patch spans the whole image.
         let snap = m.save_state();
         for f in 5..=8 {
             m.step_frame(input(f));
@@ -942,39 +763,25 @@ mod tests {
             m.step_frame(input(f));
         }
         let report = r.checkpoint_from(8, m.state_hash(), &mut m);
-        assert_eq!(r.slots.back().unwrap().kind, PatchKind::Delta);
-        assert_eq!(report.dirty_bytes, report.state_len, "saturated capture");
+        assert!(!r.slots.back().unwrap().dirty.is_all());
+        assert_eq!(report.dirty_bytes, report.state_len, "every page dirty");
 
-        // Every retained checkpoint restores to exactly the bytes a
-        // from-scratch replay produces at that frame.
-        let mut buf = Vec::new();
-        for (ckpt, frames) in [(0u64, 1u64), (4, 5), (8, 9)] {
+        // Rewinding newest-first lands each checkpoint on exactly the
+        // bytes a from-scratch replay produces at that frame.
+        m.step_frame(input(9));
+        let mut out = Vec::new();
+        let mut dirty = DirtyPages::default();
+        for (ckpt, frames) in [(8u64, 9u64), (4, 5), (0, 1)] {
             let mut replay = rom_pong_console();
             for f in 0..frames {
                 replay.step_frame(input(f));
             }
-            let info = r.restore_into(ckpt, &mut buf).unwrap();
+            m.collect_dirty_into(&mut dirty);
+            let info = r.rewind_into(ckpt, &mut out, &mut dirty).unwrap();
+            m.load_state_dirty(&out, &dirty).unwrap();
             assert_eq!(info.frame, ckpt);
             assert_eq!(info.hash, replay.state_hash(), "frame {ckpt}");
-            assert_eq!(buf, replay.save_state(), "frame {ckpt}");
+            assert_eq!(m.save_state(), replay.save_state(), "frame {ckpt}");
         }
-    }
-
-    #[test]
-    fn apply_ranges_rejects_corrupt_patches() {
-        let mut dirty = DirtyPages::new(1024);
-        dirty.mark_range(256, 256);
-        let data = vec![0xEE; 256];
-        let mut buf = vec![0u8; 1024];
-        assert!(apply_ranges(&mut buf, &data, &dirty).is_ok());
-        assert!(buf[256..512].iter().all(|&b| b == 0xEE));
-        // Length disagreement: a range patch never resizes the state.
-        let mut short = vec![0u8; 512];
-        assert!(apply_ranges(&mut short, &data, &dirty).is_err());
-        // Truncated patch data underruns the marked ranges.
-        assert!(apply_ranges(&mut buf, &data[..100], &dirty).is_err());
-        // Excess patch data means the ranges did not consume it all.
-        let long = vec![0xEE; 300];
-        assert!(apply_ranges(&mut buf, &long, &dirty).is_err());
     }
 }
