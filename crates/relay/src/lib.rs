@@ -15,7 +15,8 @@
 //! - [`RelayCore`] — the sans-io routing core: compact slab session table,
 //!   per-session token-bucket backpressure with drop accounting, spectator
 //!   fan-out, and heartbeat eviction on the lobby's TTL cadence.
-//! - [`UdpRelay`] — the single-threaded non-blocking socket loop; shard by
+//! - [`UdpRelay`] — the single-threaded socket loop: `run_until` waits in
+//!   the kernel for each datagram, `poll` never blocks; shard by
 //!   `session % shard_count` ([`RelayConfig::shard`]) to scale out.
 //! - [`RelaySocket`] — the client adapter: wraps any [`Transport`] whose
 //!   one reachable peer is the relay and restores site-addressed

@@ -95,12 +95,13 @@ pub struct RelayStats {
     pub fanout_copies: u64,
     /// Forwards refused by a session's token bucket.
     pub dropped_backpressure: u64,
-    /// Datagrams from addresses with no live registration.
+    /// Datagrams from addresses with no live registration, and heartbeats
+    /// or `Bye`s naming a session the sender is not a member of.
     pub dropped_unregistered: u64,
     /// Datagrams that failed to decode (or arrived in the wrong direction).
     pub dropped_malformed: u64,
     /// Registrations/forwards refused by policy (site conflict, capacity,
-    /// foreign shard, spectator trying to send).
+    /// foreign shard, spectator trying to send, no member to deliver to).
     pub dropped_refused: u64,
     /// Members evicted for silence.
     pub evicted_members: u64,
@@ -295,6 +296,12 @@ impl<A: Copy + Ord> RelayCore<A> {
             .counter_add("relay_dropped_malformed_total", 1);
     }
 
+    fn note_unregistered(&mut self) {
+        self.stats.dropped_unregistered += 1;
+        self.telemetry
+            .counter_add("relay_dropped_unregistered_total", 1);
+    }
+
     fn note_refused(&mut self) {
         self.stats.dropped_refused += 1;
         self.telemetry.counter_add("relay_dropped_refused_total", 1);
@@ -303,20 +310,19 @@ impl<A: Copy + Ord> RelayCore<A> {
     /// The per-datagram hot path: sender lookup, token charge, fan-out.
     fn on_forward(&mut self, from: A, dest: u8, payload: &[u8], now: SimTime) {
         let Some(&si) = self.by_addr.get(&from) else {
-            self.stats.dropped_unregistered += 1;
-            self.telemetry
-                .counter_add("relay_dropped_unregistered_total", 1);
+            self.note_unregistered();
             return;
         };
         let si = si as usize;
         let (rate, burst) = (self.cfg.bucket_rate, self.cfg.bucket_burst);
         let Some(slot) = self.slots.get_mut(si) else {
+            self.note_unregistered();
             return;
         };
         let Some(sender) = slot.members.iter_mut().find(|m| m.addr == from) else {
             // The index and the slot disagree (stale entry); treat like an
             // unknown sender rather than panicking in the datagram path.
-            self.stats.dropped_unregistered += 1;
+            self.note_unregistered();
             return;
         };
         sender.last_seen = now;
@@ -333,7 +339,6 @@ impl<A: Copy + Ord> RelayCore<A> {
                 .counter_add("relay_dropped_backpressure_total", 1);
             return;
         }
-        self.stats.forwarded += 1;
         let mut copies = 0u64;
         for mi in 0..self.slots[si].members.len() {
             let m = self.slots[si].members[mi];
@@ -349,6 +354,13 @@ impl<A: Copy + Ord> RelayCore<A> {
             wire::encode_deliver_into(buf, from_site, payload);
             copies += 1;
         }
+        if copies == 0 {
+            // No member to deliver to (an absent site, or a lone sender):
+            // the forward is dropped, and counted like any other refusal.
+            self.note_refused();
+            return;
+        }
+        self.stats.forwarded += 1;
         self.stats.fanout_copies += copies;
         self.telemetry.counter_add("relay_forwarded_total", 1);
         self.telemetry
@@ -372,23 +384,23 @@ impl<A: Copy + Ord> RelayCore<A> {
                     }
                 }
                 if !refreshed {
-                    self.stats.dropped_unregistered += 1;
-                    self.telemetry
-                        .counter_add("relay_dropped_unregistered_total", 1);
+                    self.note_unregistered();
                 }
             }
             RelayMessage::Bye { session } => {
-                let Some(&si) = self.by_addr.get(&from) else {
-                    return;
-                };
-                if self
-                    .slots
-                    .get(si as usize)
-                    .is_none_or(|s| s.session != session)
-                {
-                    return;
+                // Like a heartbeat, a Bye speaks only for the sender's own
+                // membership of `session`.
+                match self.by_addr.get(&from) {
+                    Some(&si)
+                        if self
+                            .slots
+                            .get(si as usize)
+                            .is_some_and(|s| s.session == session) =>
+                    {
+                        self.remove_member(si, from);
+                    }
+                    _ => self.note_unregistered(),
                 }
-                self.remove_member(si, from);
             }
             // Server-to-client messages arriving at the server are noise.
             RelayMessage::Registered { .. }
@@ -570,7 +582,7 @@ fn out_slot<'a, A: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{RelayMessage, DEST_BROADCAST};
+    use crate::wire::{RelayMessage, DEST_BROADCAST, MAX_RELAY_PAYLOAD};
     use coplay_net::bytes::Bytes;
     use coplay_net::PeerId;
 
@@ -848,6 +860,111 @@ mod tests {
         c.handle(PeerId(10), &wrong, at(ttl_ms * 2));
         c.sweep(at(ttl_ms * 2 + 1));
         assert_eq!(c.member_count(1), 0);
+    }
+
+    #[test]
+    fn hostile_traffic_is_dropped_and_counted_while_an_honest_pair_plays() {
+        let cfg = RelayConfig {
+            max_sessions: 2,
+            ..RelayConfig::default().shard(0, 2)
+        };
+        let mut c = core(cfg);
+        let (p0, p1) = (PeerId(10), PeerId(11));
+        register(&mut c, p0, 2, 0, false, at(0));
+        register(&mut c, p1, 2, 1, false, at(0));
+        let (mallory, trudy) = (PeerId(66), PeerId(67));
+
+        let msg = |m: RelayMessage| m.encode();
+        let reg = |session, site| {
+            msg(RelayMessage::Register {
+                session,
+                site,
+                spectator: false,
+            })
+        };
+        let fwd = |dest, payload: &[u8]| {
+            msg(RelayMessage::Forward {
+                dest,
+                payload: Bytes::copy_from_slice(payload),
+            })
+        };
+        let mut truncated = fwd(1, b"cut short");
+        truncated.pop();
+        let mut oversized = fwd(1, &[7; MAX_RELAY_PAYLOAD]);
+        oversized[4..6].copy_from_slice(&(MAX_RELAY_PAYLOAD as u16 + 1).to_le_bytes());
+        oversized.push(7);
+        // (sender, datagram, counter it must land in; None = admitted).
+        let script: Vec<(PeerId, Vec<u8>, Option<&str>)> = vec![
+            (
+                mallory,
+                fwd(DEST_BROADCAST, b"before register"),
+                Some("unregistered"),
+            ),
+            (mallory, reg(3, 0), Some("refused")), // session 3 is shard 1's
+            (mallory, reg(4, 0), None),            // fills the second slot
+            (mallory, fwd(9, b"nobody home"), Some("refused")),
+            (trudy, reg(6, 0), Some("refused")), // beyond max_sessions
+            (trudy, reg(8, 1), Some("refused")),
+            (
+                mallory,
+                msg(RelayMessage::Heartbeat { session: 2 }),
+                Some("unregistered"),
+            ),
+            (
+                mallory,
+                msg(RelayMessage::Bye { session: 2 }),
+                Some("unregistered"),
+            ),
+            (
+                trudy,
+                msg(RelayMessage::Bye { session: 4 }),
+                Some("unregistered"),
+            ),
+            (mallory, truncated, Some("malformed")),
+            (mallory, b"\xC7garbage".to_vec(), Some("malformed")),
+            (mallory, oversized, Some("malformed")),
+            (mallory, Vec::new(), Some("malformed")),
+        ];
+
+        let mut delivered = Vec::new();
+        for (i, (from, data, _)) in script.iter().enumerate() {
+            let now = at(1 + i as u64);
+            // One honest forward each way around every hostile datagram.
+            for (src, dst, dest) in [(p0, p1, DEST_BROADCAST), (p1, p0, 0)] {
+                let payload = format!("frame {i} from {}", src.0);
+                let out = forward(&mut c, src, dest, payload.as_bytes(), now);
+                assert_eq!(out.len(), 1, "{payload}");
+                assert_eq!(out[0].0, dst);
+                delivered.push(out[0].1.clone());
+            }
+            let replies: Vec<PeerId> = c.handle(*from, data, now).iter().map(|r| r.0).collect();
+            // The only answer hostile traffic earns is its own ack.
+            assert!(replies.iter().all(|to| to == from), "step {i}: {replies:?}");
+            assert!(c.session_count() <= 2, "step {i}");
+            assert_eq!(c.member_count(2), 2, "step {i}");
+            assert!(c.member_count(4) <= 1, "step {i}");
+        }
+
+        let honest = 2 * script.len() as u64;
+        let mut expected: Vec<RelayMessage> = Vec::new();
+        for i in 0..script.len() {
+            for (from_site, src) in [(0, p0), (1, p1)] {
+                expected.push(RelayMessage::Deliver {
+                    from_site,
+                    payload: Bytes::copy_from_slice(format!("frame {i} from {}", src.0).as_bytes()),
+                });
+            }
+        }
+        assert_eq!(delivered, expected, "every honest forward exactly once");
+        let count = |kind: &str| script.iter().filter(|s| s.2 == Some(kind)).count() as u64;
+        let stats = c.stats();
+        assert_eq!(stats.forwarded, honest);
+        assert_eq!(stats.fanout_copies, honest);
+        assert_eq!(stats.dropped_unregistered, count("unregistered"));
+        assert_eq!(stats.dropped_refused, count("refused"));
+        assert_eq!(stats.dropped_malformed, count("malformed"));
+        assert_eq!(stats.dropped_backpressure, 0);
+        assert_eq!(stats.registrations, 3);
     }
 
     #[test]

@@ -955,8 +955,14 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
                 rom_hash,
                 start_frame,
             } => {
-                // Only a handshake in progress listens for acks.
+                // Only a handshake in progress listens for acks, and only
+                // from the sites it is waiting on: an ack from anywhere
+                // else is forged or misrouted.
                 if let Phase::Connecting { acks, .. } = &mut self.phase {
+                    if !self.cfg.peers().any(|p| PeerId(p) == from) {
+                        self.cfg.telemetry.counter_add("hello_spoofed_total", 1);
+                        return Ok(());
+                    }
                     if rom_hash != self.rom_hash {
                         return Err(SyncError::RomMismatch {
                             ours: self.rom_hash,
@@ -1409,15 +1415,15 @@ mod tests {
     }
 
     /// Runs an honest lockstep pair for 120 frames over a 5 ms link while
-    /// a third endpoint sends `attack(tick)` to site 0, and asserts the
-    /// honest timelines agree. Returns the pair's telemetry and the
+    /// a third endpoint sends `attack(tick)` to site `target`, and asserts
+    /// the honest timelines agree. Returns the pair's telemetry and the
     /// attacker's socket.
-    fn under_attack(attack: impl Fn(u64) -> Vec<Message>) -> (Telemetry, SimSocket) {
+    fn under_attack(target: u8, attack: impl Fn(u64) -> Vec<Message>) -> (Telemetry, SimSocket) {
         let clock = VirtualClock::new();
         let net = SimNetwork::shared(clock.clone());
         let link = NetemConfig::new().delay(SimDuration::from_millis(5));
         SimNetwork::link_pair(&net, PeerId(0), PeerId(1), link.clone(), 1);
-        SimNetwork::link_pair(&net, PeerId(2), PeerId(0), link, 2);
+        SimNetwork::link_pair(&net, PeerId(2), PeerId(target), link, 2);
         let telemetry = Telemetry::recording();
         let mut sites = [0, 1].map(|site| {
             let mut cfg = SyncConfig::two_player(site);
@@ -1435,7 +1441,7 @@ mod tests {
         for tick in 0..20_000 {
             let now = clock.now();
             for msg in attack(tick) {
-                mallory.send(PeerId(0), &msg.encode()).unwrap();
+                mallory.send(PeerId(target), &msg.encode()).unwrap();
             }
             net.borrow_mut().deliver_due(now);
             for (s, out) in sites.iter_mut().zip(&mut hashes) {
@@ -1450,7 +1456,7 @@ mod tests {
         }
         let [ha, hb] = hashes;
         assert!(ha.len() >= 120 && hb.len() >= 120, "run wedged");
-        assert_eq!(ha[..120], hb[..120], "the third endpoint desynced site 0");
+        assert_eq!(ha[..120], hb[..120], "the third endpoint desynced the pair");
         (telemetry, mallory)
     }
 
@@ -1465,7 +1471,7 @@ mod tests {
             first: 6,
             inputs: vec![InputWord(0xFFFF); 240],
         });
-        let (telemetry, _) = under_attack(|tick| {
+        let (telemetry, _) = under_attack(0, |tick| {
             let due = tick % 50 == 0;
             due.then(|| forged.clone()).into_iter().collect()
         });
@@ -1486,7 +1492,7 @@ mod tests {
             rom_hash: foreign_rom,
             start_frame: 0,
         };
-        let (telemetry, mut mallory) = under_attack(|tick| match tick {
+        let (telemetry, mut mallory) = under_attack(0, |tick| match tick {
             500 => vec![hello(2), hello(1), ack.clone()],
             _ => Vec::new(),
         });
@@ -1497,5 +1503,21 @@ mod tests {
         assert!(answers
             .iter()
             .any(|m| matches!(m, Message::HelloAck { .. })));
+    }
+
+    #[test]
+    fn a_forged_ack_cannot_end_the_handshake() {
+        // Site 1 is still connecting when this foreign-cartridge ack lands
+        // (5 ms in; the master's real ack needs 10). Taken at face value it
+        // would end site 1 with `RomMismatch`.
+        let forged = Message::HelloAck {
+            rom_hash: NullMachine::new().state_hash() ^ 1,
+            start_frame: 0,
+        };
+        let (telemetry, _) = under_attack(1, |tick| match tick {
+            0 => vec![forged.clone()],
+            _ => Vec::new(),
+        });
+        assert_eq!(telemetry.counter("hello_spoofed_total"), 1);
     }
 }
