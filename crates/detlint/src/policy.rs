@@ -22,15 +22,16 @@
 //! | zone | panic_path | unchecked_index | hot_alloc |
 //! |------|-----------|-----------------|-----------|
 //! | wire codecs (`net/bytes`, `lobby/wire`, `sync/wire`, `relay/wire`) | ✓ | ✓ | – |
-//! | transport (`net/{udp,sim,transport,netem}`, `lobby/{server,client,lib}`, `relay/{server,client,udp,lib}`) | ✓ | – | – |
-//! | hot path (`rollback/src/*`, `sync/{driver,snapshot,predict,sync_input}`, `vm/{cpu,predecode,console,audio,dirty}`, `relay/server`) | ✓ | – | ✓‡ |
+//! | transport (`net/{udp,sim,transport,netem,ready}`, `lobby/{server,client,lib}`, `relay/{server,client,udp,lib}`) | ✓ | – | – |
+//! | hot path (`rollback/src/*`, `sync/{driver,snapshot,predict,sync_input}`, `vm/{cpu,predecode,console,audio,dirty}`, `relay/server`, `net/ready`) | ✓ | – | ✓‡ |
 //!
 //! ‡ `hot_alloc` applies to exactly the modules PRs 4–5 made alloc-free
 //! plus the relay's per-datagram fan-out, the frame-step path headless
-//! resimulation runs through, and the dirty-page bitmap every checkpoint
-//! and rollback walks:
+//! resimulation runs through, the dirty-page bitmap every checkpoint
+//! and rollback walks, and the readiness wait's arming, which runs on
+//! every empty receive:
 //! `sync/{driver,snapshot,sync_input}.rs`, `vm/{cpu,predecode,console,audio,dirty}.rs`,
-//! `relay/src/server.rs`. The snapshot ring, the predictor, and the
+//! `relay/src/server.rs`, `net/src/ready.rs`. The snapshot ring, the predictor, and the
 //! session driver moved from `crates/rollback` into `crates/sync` when
 //! lockstep and rollback became one driver; they kept their fences at the
 //! new paths. Wire/transport code must be
@@ -60,6 +61,7 @@ fn transport_zone(rel: &str) -> bool {
         || matches!(
             rel,
             "crates/net/src/udp.rs"
+                | "crates/net/src/ready.rs"
                 | "crates/net/src/sim.rs"
                 | "crates/net/src/transport.rs"
                 | "crates/net/src/netem.rs"
@@ -107,6 +109,7 @@ fn hot_alloc_zone(rel: &str) -> bool {
             | "crates/vm/src/dirty.rs"
             | "crates/sync/src/sync_input.rs"
             | "crates/relay/src/server.rs"
+            | "crates/net/src/ready.rs"
     )
 }
 
@@ -310,6 +313,7 @@ mod tests {
             "crates/vm/src/audio.rs",
             "crates/vm/src/dirty.rs",
             "crates/sync/src/sync_input.rs",
+            "crates/net/src/ready.rs",
         ] {
             assert!(has(rel, Rule::PanicPath), "{rel}");
             assert!(has(rel, Rule::HotAlloc), "{rel}");

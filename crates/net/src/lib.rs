@@ -12,7 +12,9 @@
 //!   correlated loss, duplication, reordering, and rate limiting.
 //! * [`SimNetwork`] / [`SimSocket`] — a shared fabric of impaired links in
 //!   virtual time, used by the experiment harness.
-//! * [`UdpTransport`] — real sockets for live play.
+//! * [`UdpTransport`] — real sockets for live play, and
+//!   [`wait_readable`] — the readiness wait the wall-clock runner blocks in
+//!   until one of them has a datagram or a deadline passes.
 //! * [`loopback`] — an in-process perfect link for tests.
 //!
 //! # Examples
@@ -39,12 +41,14 @@
 
 pub mod bytes;
 mod netem;
+mod ready;
 pub mod rng;
 mod sim;
 mod transport;
 mod udp;
 
 pub use netem::{ChannelStats, JitterDistribution, NetemChannel, NetemConfig, PacketFate};
+pub use ready::{wait_readable, SLICE};
 pub use rng::DetRng;
 pub use sim::{SimNetwork, SimSocket};
 pub use transport::{loopback, LoopbackTransport, PeerId, Transport, TransportError};

@@ -78,6 +78,22 @@ impl From<std::io::Error> for TransportError {
 /// netem impairments), [`UdpTransport`](crate::UdpTransport) (real sockets),
 /// and [`loopback`] (in-process pair for tests and examples).
 ///
+/// # Waking a waiting thread
+///
+/// The wall-clock runner sleeps in [`wait_readable`](crate::wait_readable)
+/// between polls. The contract is the poll/waker one of async I/O: a
+/// `try_recv` that finds a real socket empty *arms* it on the calling
+/// thread, and the thread's next wait ends when an armed socket becomes
+/// readable. [`UdpTransport`](crate::UdpTransport) arms; the in-process
+/// transports cannot, so a thread using them wakes every
+/// [`SLICE`](crate::SLICE). A decorator that forwards `try_recv` to a
+/// `UdpTransport` arms it without extra code. A decorator that holds
+/// datagrams back after its inner `try_recv` returned them (a delay line)
+/// is not woken when they fall due: the waiting thread sees them at its
+/// next deadline or arrival, whichever comes first. Likewise, a decorator
+/// that paces work by counting `try_recv` calls sees fewer calls per
+/// second, since the runner no longer polls on a fixed period.
+///
 /// # Examples
 ///
 /// ```

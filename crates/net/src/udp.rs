@@ -4,15 +4,17 @@
 //! established between the two players' machines after rendezvous. Peer
 //! identities are mapped to socket addresses with a small static table; the
 //! socket is non-blocking so the frame loop's `SyncInput` poll never stalls
-//! in the kernel.
+//! in the kernel. A receive that finds the socket empty arms it for the
+//! thread's next [`wait_readable`](crate::wait_readable), which is how the
+//! wall-clock runner sleeps until a datagram lands.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::time::{Duration, Instant};
 
 use coplay_telemetry::Telemetry;
 
+use crate::ready;
 use crate::transport::{PeerId, Transport, TransportError};
 
 /// Maximum datagram this transport will receive. The sync protocol sends
@@ -89,71 +91,6 @@ impl UdpTransport {
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.socket.local_addr()
     }
-
-    /// Waits up to `timeout` for a datagram from a known peer, blocking in
-    /// the kernel under a computed deadline instead of sleep-polling — a
-    /// paced frame waiting on remote input wakes the moment the packet
-    /// lands rather than paying up-to-1 ms quantization per check.
-    ///
-    /// Returns `Ok(None)` if the deadline passes with nothing received.
-    /// The socket is restored to non-blocking before returning, on every
-    /// path, so `try_recv` keeps its semantics afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket error from the OS other than the timeout itself.
-    // detlint exempts crates/net from wall-clock rules: transport pacing is
-    // inherently wall-clock and never feeds simulation state.
-    #[allow(clippy::disallowed_methods)]
-    pub fn recv_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<(PeerId, Vec<u8>)>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        self.socket
-            .set_nonblocking(false)
-            .map_err(TransportError::Io)?;
-        let result = loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break Ok(None);
-            }
-            // Never Some(ZERO): that is "no timeout" on some platforms and
-            // an InvalidInput error on others.
-            if let Err(e) = self.socket.set_read_timeout(Some(remaining)) {
-                break Err(TransportError::Io(e));
-            }
-            match self.socket.recv_from(&mut self.buf) {
-                Ok((n, from)) => {
-                    // Same policy as `try_recv`: unknown senders are noise.
-                    if let Some(&peer) = self.by_addr.get(&from) {
-                        self.telemetry
-                            .counter_add("udp_datagrams_received_total", 1);
-                        self.telemetry
-                            .counter_add("udp_bytes_received_total", n as u64);
-                        break Ok(Some((peer, self.buf[..n].to_vec())));
-                    }
-                }
-                // Timeouts surface as WouldBlock or TimedOut depending on
-                // the platform; the loop re-checks the deadline either way.
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => break Err(TransportError::Io(e)),
-            }
-        };
-        // Restore non-blocking mode even when the wait failed; a transport
-        // left blocking would stall the frame loop's next poll.
-        let restore = self
-            .socket
-            .set_read_timeout(None)
-            .and_then(|()| self.socket.set_nonblocking(true));
-        match (result, restore) {
-            (Err(e), _) => Err(e),
-            (Ok(_), Err(e)) => Err(TransportError::Io(e)),
-            (ok, Ok(())) => ok,
-        }
-    }
 }
 
 impl Transport for UdpTransport {
@@ -197,16 +134,28 @@ impl Transport for UdpTransport {
                         return Ok(Some((peer, self.buf[..n].to_vec())));
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    ready::arm(&self.socket);
+                    return Ok(None);
+                }
                 Err(e) => return Err(TransportError::Io(e)),
             }
         }
     }
 }
 
+impl Drop for UdpTransport {
+    fn drop(&mut self) {
+        // The descriptor is about to close (and may be reused): never wait
+        // on it.
+        ready::disarm(&self.socket);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn pair() -> (UdpTransport, UdpTransport) {
         let mut a = UdpTransport::bind(PeerId(0), "127.0.0.1:0").unwrap();
@@ -218,10 +167,16 @@ mod tests {
         (a, b)
     }
 
+    /// Polls `t` until a datagram from a known peer arrives, waiting for
+    /// readiness between polls; panics after about 2 s.
     fn recv_blocking(t: &mut UdpTransport) -> (PeerId, Vec<u8>) {
-        t.recv_timeout(Duration::from_secs(2))
-            .unwrap()
-            .expect("no datagram arrived within 2s")
+        for _ in 0..20 {
+            if let Some(got) = t.try_recv().unwrap() {
+                return got;
+            }
+            crate::wait_readable(Duration::from_millis(100));
+        }
+        panic!("no datagram arrived within 2s");
     }
 
     #[test]
@@ -261,11 +216,12 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_expires_and_restores_nonblocking() {
+    fn a_wait_then_a_poll_receives_and_the_socket_stays_non_blocking() {
         let (mut a, mut b) = pair();
-        assert!(a.recv_timeout(Duration::from_millis(10)).unwrap().is_none());
-        // The socket must be non-blocking again: an immediate poll returns
-        // rather than hanging.
+        assert!(a.try_recv().unwrap().is_none());
+        crate::wait_readable(Duration::from_millis(10));
+        // The wait never touched the socket's mode: an immediate poll
+        // returns rather than hanging.
         assert!(a.try_recv().unwrap().is_none());
         // And a subsequent wait still delivers normally.
         b.send(PeerId(0), b"late").unwrap();
@@ -274,11 +230,13 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_ignores_unknown_senders_until_deadline() {
+    fn unknown_senders_wake_the_wait_but_are_never_received() {
         let (_, mut b) = pair();
+        assert!(b.try_recv().unwrap().is_none());
         let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
         stranger.send_to(b"noise", b.local_addr().unwrap()).unwrap();
-        assert!(b.recv_timeout(Duration::from_millis(20)).unwrap().is_none());
+        crate::wait_readable(Duration::from_millis(20));
+        assert!(b.try_recv().unwrap().is_none());
         assert!(b.try_recv().unwrap().is_none());
     }
 }

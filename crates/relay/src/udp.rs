@@ -11,9 +11,11 @@
 //!
 //! - [`UdpRelay::run_until`] owns the thread. It waits in the kernel for
 //!   the next datagram, so a forward leaves as soon as its datagram lands
-//!   rather than when a sleep ends; the wait is cut off after
-//!   `IDLE_WAIT` (500 µs) so the eviction sweep and the caller's `stop`
-//!   check still run on an idle socket.
+//!   rather than when a sleep ends; the wait is cut off after `IDLE_WAIT`
+//!   so the eviction sweep and the caller's `stop` check still run on an
+//!   idle socket. The kernel rounds that timeout up to its scheduler
+//!   tick: the 500 µs asked for reads back as 4 ms on a 250 Hz kernel,
+//!   and an idle wait lasts ~8 ms.
 //! - [`UdpRelay::poll`] never blocks: it drains what is queued and
 //!   returns, for callers that interleave the relay with other work on one
 //!   thread.
@@ -34,9 +36,11 @@ const RECV_BUF: usize = crate::wire::MAX_RELAY_PAYLOAD + 64;
 /// How often the eviction sweep runs, as a divisor of the member TTL.
 const SWEEP_DIVISOR: u64 = 4;
 
-/// Longest [`UdpRelay::run_until`] waits in one receive or send: it bounds
-/// how late an idle loop notices `stop` or a due sweep, and how long one
-/// receiver with a full send buffer can hold up the others.
+/// The timeout [`UdpRelay::run_until`] asks for in one receive or send: it
+/// bounds how late an idle loop notices `stop` or a due sweep, and how
+/// long one receiver with a full send buffer can hold up the others. The
+/// kernel rounds it up to its scheduler tick (4 ms at 250 Hz), so an idle
+/// wait lasts several milliseconds, not 500 µs.
 const IDLE_WAIT: Duration = Duration::from_micros(500);
 
 /// A [`RelayCore`] bound to a real UDP socket. See the module docs.
@@ -124,10 +128,12 @@ impl UdpRelay {
     ///
     /// Each turn waits in the kernel for one datagram, routes it, runs the
     /// eviction sweep if due and then checks `stop`. A forward is routed as
-    /// soon as its datagram lands. The wait ends after at most 500 µs on an
-    /// idle socket, which bounds how late the loop sees `stop` and how late
-    /// a due sweep runs. A send waits at most as long, so a receiver with a
-    /// full buffer costs one such wait and its datagram, never a stall.
+    /// soon as its datagram lands. The wait ends after `IDLE_WAIT` on an
+    /// idle socket — 500 µs asked for, several milliseconds once the
+    /// kernel rounds it to its tick — which bounds how late the loop sees
+    /// `stop` and how late a due sweep runs. A send waits at most as long,
+    /// so a receiver with a full buffer costs one such wait and its
+    /// datagram, never a stall.
     /// The socket is back in [`poll`](UdpRelay::poll)'s never-block mode
     /// when this returns, error or not.
     ///
@@ -325,7 +331,8 @@ mod tests {
             stopped_tx.send((Instant::now(), served.is_ok())).unwrap();
             // Back in never-block mode, 4000 polls of the empty socket take
             // milliseconds; a socket left waiting would spend at least
-            // 500 µs in each (2 s in all), or block for good.
+            // its idle wait in each (500 µs asked for, 2 s in all), or block
+            // for good.
             let started = Instant::now();
             let empty = (0..4000).all(|_| matches!(relay.poll(SimTime::ZERO), Ok(0)));
             polled_tx.send((started.elapsed(), empty)).unwrap();

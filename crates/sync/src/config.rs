@@ -38,6 +38,18 @@ impl ConsistencyMode {
             checkpoint_interval: 5,
         }
     }
+
+    /// The speculation window: how many frames past the confirmed-input
+    /// frontier a session may execute (0 for lockstep).
+    pub fn window(self) -> u64 {
+        match self {
+            ConsistencyMode::Lockstep => 0,
+            ConsistencyMode::Rollback {
+                max_rollback_frames,
+                ..
+            } => max_rollback_frames,
+        }
+    }
 }
 
 /// How a session's datagrams reach the other sites.

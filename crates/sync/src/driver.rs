@@ -228,12 +228,13 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
         source: S,
         predictor: P,
     ) -> Self {
-        let (window, checkpoint_interval) = match cfg.consistency {
-            ConsistencyMode::Lockstep => (0, 1),
+        let window = cfg.consistency.window();
+        let checkpoint_interval = match cfg.consistency {
+            ConsistencyMode::Lockstep => 1,
             ConsistencyMode::Rollback {
-                max_rollback_frames,
                 checkpoint_interval,
-            } => (max_rollback_frames, checkpoint_interval.max(1)),
+                ..
+            } => checkpoint_interval.max(1),
         };
         let rom_hash = machine.state_hash();
         let tpf = cfg.time_per_frame();

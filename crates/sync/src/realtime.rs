@@ -5,6 +5,14 @@
 //! transport (UDP or loopback). This is the deployment shape of the
 //! paper's system: the same sans-io session code the simulator benchmarks,
 //! attached to the operating system's clock and sockets.
+//!
+//! Between ticks the runner blocks in [`coplay_net::wait_readable`] until
+//! the [`Step::Wait`] deadline, and a datagram landing on one of the
+//! session's UDP sockets ends the wait early. A paced site therefore wakes
+//! a few times per frame — for the deadline and for each arrival — rather
+//! than on a fixed poll period. A session on a transport that cannot wake
+//! the wait (in-process loopback) is polled every
+//! [`SLICE`](coplay_net::SLICE) instead.
 
 use std::time::Duration;
 
@@ -26,8 +34,10 @@ pub enum RunOutcome {
 /// Runs `session` against the OS clock until `max_frames` frames have
 /// executed, invoking `on_frame` after each frame (for rendering).
 ///
-/// The loop sleeps in sub-millisecond slices while waiting so arriving
-/// datagrams are noticed promptly — the spirit of Algorithm 2's poll loop.
+/// While the session waits, the loop blocks until the [`Step::Wait`]
+/// deadline or the arrival of a datagram, whichever comes first, and then
+/// ticks again — Algorithm 2's poll loop, woken by the network instead of
+/// a timer (see the module docs).
 ///
 /// After the frame budget is reached the session **lingers** briefly
 /// (several send intervals) before returning: the local inputs for the
@@ -69,9 +79,7 @@ where
                     return Ok((RunOutcome::FrameLimit, session));
                 }
             }
-            Step::Wait(until) => {
-                sleep_until(&clock, until);
-            }
+            Step::Wait(until) => wait_until(&clock, until),
             Step::Stopped(reason) => {
                 // The early-stop path skips the linger but must not skip
                 // the flush: a peer-quit or local-quit session still owns
@@ -96,9 +104,11 @@ fn flush_telemetry<D: SessionDriver>(session: &D) {
 
 /// Keeps a finished session's *network* alive for a bounded grace period so
 /// its final input frames clear the send pacing and lagging peers can catch
-/// up. Uses [`SessionDriver::pump`], never `tick`: executing frames past
-/// the budget would leave replicas at different frames with different final
-/// state hashes.
+/// up. It pumps on each datagram's arrival and at least every 2 ms, so
+/// the send pacing can release the final frames. Uses
+/// [`SessionDriver::pump`], never `tick`: executing frames past the budget
+/// would leave replicas at different frames with different final state
+/// hashes.
 fn linger<D: SessionDriver>(session: &mut D, clock: &SystemClock) {
     let grace = (session.config().send_interval * 8).max(SimDuration::from_millis(150));
     let until = clock.now() + grace;
@@ -107,19 +117,17 @@ fn linger<D: SessionDriver>(session: &mut D, clock: &SystemClock) {
         if now >= until || session.pump(now).is_err() {
             return;
         }
-        sleep_until(clock, (now + SimDuration::from_millis(2)).min(until));
+        wait_until(clock, (now + SimDuration::from_millis(2)).min(until));
     }
 }
 
-/// Sleeps toward `until` in short slices (capped at 1 ms) so socket traffic
-/// is polled frequently.
-fn sleep_until(clock: &SystemClock, until: SimTime) {
+/// Blocks until `until` passes or a datagram may have arrived on one of
+/// the session's sockets (see [`coplay_net::wait_readable`]).
+fn wait_until(clock: &SystemClock, until: SimTime) {
     let now = clock.now();
-    if until <= now {
-        return;
+    if until > now {
+        coplay_net::wait_readable(Duration::from_micros((until - now).as_micros()));
     }
-    let remaining = (until - now).min(SimDuration::from_millis(1));
-    std::thread::sleep(Duration::from_micros(remaining.as_micros().max(50)));
 }
 
 #[cfg(test)]

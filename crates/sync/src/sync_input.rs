@@ -383,20 +383,31 @@ impl InputSync {
     /// A player's payload must start no later than `LastRcvFrame + 1`: an
     /// honest sender starts at our last ack it saw plus one, and our acks
     /// never pass `LastRcvFrame`. A message starting further out is dropped
-    /// and counted (`input_rejected_total`). Accepting it would declare
-    /// every frame in the gap authoritative "no input" — a silent desync —
-    /// and grow the buffer to a sender-chosen frame number.
+    /// and its frames are counted (`input_rejected_total`). Accepting it
+    /// would declare every frame in the gap authoritative "no input" — a
+    /// silent desync — and grow the buffer to a sender-chosen frame number.
+    ///
+    /// Frames past [`InputSync::pointer`] plus the horizon (local lag +
+    /// speculation window + one send batch, `max_payload_frames`) are
+    /// clipped and counted the same way, so contiguous input cannot grow
+    /// the buffer either. An honest player never gets that far ahead: it
+    /// cannot execute past our inputs plus its window, and buffers its own
+    /// input one local lag further. Clipped frames are not acknowledged,
+    /// so the sender retransmits them once the pointer has moved on.
     pub fn on_message(&mut self, msg: &InputMsg, now: SimTime) -> RecvOutcome {
         let from = msg.from;
         if from == self.cfg.my_site {
             return RecvOutcome::default();
         }
+        let cap = self.pointer.saturating_add(self.horizon());
         let Some(peer) = self.peers.get_mut(&from) else {
             return RecvOutcome::default(); // unknown sender: drop, as with any open UDP port
         };
         let gap = msg.first > peer.last_rcv.saturating_add(1);
         if from < self.cfg.num_sites && !msg.inputs.is_empty() && gap {
-            self.cfg.telemetry.counter_add("input_rejected_total", 1);
+            self.cfg
+                .telemetry
+                .counter_add("input_rejected_total", msg.inputs.len() as u64);
             return RecvOutcome::default();
         }
         let carried = msg.inputs.len() as u32;
@@ -410,23 +421,34 @@ impl InputSync {
         // Line 13: fill IBuf with the received remote partials (duplicates
         // are ignored inside the buffer).
         let mut fresh = 0u32;
-        if from < self.cfg.num_sites {
-            for (i, &w) in msg.inputs.iter().enumerate() {
+        let mut clipped = 0u64;
+        if from < self.cfg.num_sites && !msg.inputs.is_empty() {
+            // Clip at the horizon (see above): `last` is the message's last
+            // accepted frame, `first - 1` when none is.
+            let last = msg.last().min(cap.max(msg.first.saturating_sub(1)));
+            clipped = msg.last() - last;
+            if clipped > 0 {
+                self.cfg
+                    .telemetry
+                    .counter_add("input_rejected_total", clipped);
+            }
+            let accepted = msg.inputs.len() - clipped as usize;
+            for (i, &w) in msg.inputs.iter().take(accepted).enumerate() {
                 self.buf.set_partial(msg.first + i as u64, from, w);
             }
             // Lines 14–16: advance LastRcvFrame[from]. Contiguity holds
             // because msg.first <= last_rcv + 1 (checked above).
-            if !msg.inputs.is_empty() && msg.last() > peer.last_rcv {
-                fresh = (msg.last() - peer.last_rcv).min(carried as u64) as u32;
+            if last > peer.last_rcv {
+                fresh = (last - peer.last_rcv).min(carried as u64) as u32;
                 // Span chain: only the frames this message is the first to
                 // deliver count as received (contiguity guarantees the
                 // range starts within the message).
                 if self.cfg.telemetry.is_tracing() {
-                    for f in peer.last_rcv + 1..=msg.last() {
+                    for f in peer.last_rcv + 1..=last {
                         self.cfg.telemetry.span(now, SpanStage::Received, f, from);
                     }
                 }
-                peer.last_rcv = msg.last();
+                peer.last_rcv = last;
                 if from == 0 && self.cfg.my_site != 0 {
                     self.master_rcv_time = Some(now);
                 }
@@ -438,7 +460,7 @@ impl InputSync {
             peer.last_ack = msg.ack;
         }
 
-        let duplicate = carried > 0 && fresh == 0;
+        let duplicate = carried > 0 && fresh == 0 && clipped == 0;
         self.cfg.telemetry.record(
             now,
             EventKind::InputReceived {
@@ -454,6 +476,13 @@ impl InputSync {
             fresh,
             duplicate,
         }
+    }
+
+    /// How far past the pointer a player peer's input is buffered: local
+    /// lag + speculation window + one send batch (see
+    /// [`InputSync::on_message`]).
+    fn horizon(&self) -> u64 {
+        self.cfg.buf_frames + self.cfg.consistency.window() + self.cfg.max_payload_frames as u64
     }
 
     /// What Algorithm 4 needs from the protocol state: the master's latest
@@ -998,5 +1027,49 @@ mod tests {
         };
         assert_eq!(s.on_message(&next, now()).fresh, 1);
         assert_eq!(s.last_rcv(1), Some(last_rcv.unwrap() + 1));
+    }
+
+    #[test]
+    fn contiguous_input_is_clipped_at_the_horizon() {
+        use crate::wire::MAX_INPUTS_PER_MSG;
+        let mut cfg = SyncConfig::two_player(0);
+        cfg.telemetry = coplay_telemetry::Telemetry::recording();
+        let telemetry = cfg.telemetry.clone();
+        // Lockstep: local lag + no window + one send batch.
+        let horizon = cfg.buf_frames + cfg.max_payload_frames as u64;
+        let mut s = InputSync::new(cfg);
+        let start = s.last_rcv(1).unwrap();
+        // A peer that follows our acks never leaves a gap, so only the
+        // horizon stands between it and an ever-growing buffer.
+        for _ in 0..200 {
+            let flood = InputMsg {
+                from: 1,
+                ack: 0,
+                first: s.last_rcv(1).unwrap() + 1,
+                inputs: vec![InputWord(0); MAX_INPUTS_PER_MSG],
+            };
+            s.on_message(&flood, now());
+        }
+        assert_eq!(s.last_rcv(1), Some(horizon));
+        assert!(s.buf.len() as u64 <= horizon + 1, "{}", s.buf.len());
+        let offered = 200 * MAX_INPUTS_PER_MSG as u64;
+        assert_eq!(
+            telemetry.counter("input_rejected_total"),
+            offered - (horizon - start)
+        );
+        // The clipped frames were not acknowledged: once the pointer moves
+        // on, their retransmission is accepted up to the new horizon.
+        for f in 0..3 {
+            s.begin_frame(f, InputWord(0), now());
+            let _ = s.take();
+        }
+        let retransmit = InputMsg {
+            from: 1,
+            ack: 0,
+            first: horizon + 1,
+            inputs: vec![InputWord(0); 5],
+        };
+        assert_eq!(s.on_message(&retransmit, now()).fresh, 3);
+        assert_eq!(s.last_rcv(1), Some(horizon + 3));
     }
 }

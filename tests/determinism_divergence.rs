@@ -11,6 +11,7 @@ use coplay::clock::{EventQueue, SimDuration, SimTime};
 use coplay::games::GameId;
 use coplay::net::{DetRng, JitterDistribution, NetemChannel, NetemConfig};
 use coplay::sync::{InputSync, Message, SyncConfig};
+use coplay::telemetry::Telemetry;
 use coplay::vm::InputWord;
 
 /// One lockstep replica: engine, machine, and its per-frame hash trace.
@@ -21,12 +22,16 @@ struct Replica {
     frame: u64,
     begun: bool,
     hashes: Vec<u64>,
+    telemetry: Telemetry,
 }
 
 impl Replica {
     fn new(site: u8, game: GameId) -> Replica {
+        let mut cfg = SyncConfig::two_player(site);
+        cfg.telemetry = Telemetry::recording();
         Replica {
-            sync: InputSync::new(SyncConfig::two_player(site)),
+            telemetry: cfg.telemetry.clone(),
+            sync: InputSync::new(cfg),
             machine: game.create(),
             rng: DetRng::seed_from_u64(0xD1CE_0000 + site as u64),
             frame: 0,
@@ -99,6 +104,15 @@ fn run_adversarial(
         now = now.offset(tick.into());
     }
 
+    // Reordered and duplicated honest input is never clipped or rejected.
+    for (site, r) in replicas.iter().enumerate() {
+        assert_eq!(
+            r.telemetry.counter("input_rejected_total"),
+            0,
+            "site {site}"
+        );
+    }
+
     let mut stats = links[0].stats();
     let s1 = links[1].stats();
     stats.offered += s1.offered;
@@ -166,7 +180,10 @@ fn rollback_site_matches_lockstep_site_over_adversarial_links() {
 
     let mut cfg0 = SyncConfig::two_player(0);
     cfg0.consistency = ConsistencyMode::rollback();
-    let cfg1 = SyncConfig::two_player(1);
+    let mut cfg1 = SyncConfig::two_player(1);
+    let telemetry = [Telemetry::recording(), Telemetry::recording()];
+    cfg0.telemetry = telemetry[0].clone();
+    cfg1.telemetry = telemetry[1].clone();
     let mut a = RollbackSession::new(
         cfg0,
         GameId::Brawler.create(),
@@ -212,6 +229,10 @@ fn rollback_site_matches_lockstep_site_over_adversarial_links() {
         "RTT past the lag budget must force repairs"
     );
 
+    for (site, t) in telemetry.iter().enumerate() {
+        assert_eq!(t.counter("input_rejected_total"), 0, "site {site}");
+    }
+
     let common = confirmed.len().min(lockstep.len());
     assert_eq!(
         &confirmed[..common],
@@ -227,7 +248,7 @@ fn rollback_site_matches_lockstep_site_over_adversarial_links() {
 /// bundle under `results/forensics/`.
 #[test]
 fn forced_divergence_produces_forensics_bundle() {
-    use coplay::telemetry::{forensics, EventKind, SpanStage, Telemetry};
+    use coplay::telemetry::{forensics, EventKind, SpanStage};
 
     const FRAMES: u64 = 120;
     const TAMPER_FRAME: u64 = 40;

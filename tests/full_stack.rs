@@ -1,9 +1,11 @@
 //! Full-stack integration: assembler → emulated console → lockstep session
 //! → transport, end to end through the public API.
 
+use coplay::clock::SimTime;
 use coplay::net::{loopback, PeerId, UdpTransport};
 use coplay::sync::{
-    run_realtime, Idle, LockstepSession, RandomPresser, Scripted, SyncConfig, SyncError,
+    run_realtime, FrameReport, Idle, LockstepSession, RandomPresser, Scripted, SessionDriver,
+    SessionStats, Step, SyncConfig, SyncError,
 };
 use coplay::vm::{assemble, Console, InputWord, Machine, Player};
 
@@ -98,6 +100,96 @@ fn real_udp_sockets_carry_a_session() {
     assert_eq!(ha, hb, "replicas diverged over real UDP");
 }
 
+/// Counts the `tick` calls of the session it wraps: each is one wake-up of
+/// the wall-clock runner.
+struct TickCounter<D> {
+    inner: D,
+    ticks: u64,
+}
+
+impl<D: SessionDriver> SessionDriver for TickCounter<D> {
+    type Machine = D::Machine;
+
+    fn tick(&mut self, now: SimTime) -> Result<Step, SyncError> {
+        self.ticks += 1;
+        self.inner.tick(now)
+    }
+
+    fn pump(&mut self, now: SimTime) -> Result<(), SyncError> {
+        self.inner.pump(now)
+    }
+
+    fn machine(&self) -> &D::Machine {
+        self.inner.machine()
+    }
+
+    fn config(&self) -> &SyncConfig {
+        self.inner.config()
+    }
+
+    fn stats(&self) -> SessionStats {
+        self.inner.stats()
+    }
+
+    fn frame(&self) -> u64 {
+        self.inner.frame()
+    }
+}
+
+/// Pacing guard for the wall-clock runner over real sockets: at the
+/// paper's 60 frames/s a lockstep site must keep pace, and must wake for
+/// the frame deadline and the peer's datagrams only — not on a poll
+/// period. A runner that sleeps in 1 ms slices ticks ~17 times per frame;
+/// one whose wait is rounded up to the kernel's scheduler tick falls to
+/// ~42 frames/s.
+#[test]
+// The test times the frames it sees; the clock stays outside the program.
+#[allow(clippy::disallowed_methods)]
+fn paced_udp_sites_keep_pace_and_wake_only_on_events() {
+    const FRAMES: u64 = 120;
+    let mut t0 = UdpTransport::bind(PeerId(0), "127.0.0.1:0").expect("bind");
+    let mut t1 = UdpTransport::bind(PeerId(1), "127.0.0.1:0").expect("bind");
+    t0.add_peer(PeerId(1), t1.local_addr().expect("addr"))
+        .expect("peer");
+    t1.add_peer(PeerId(0), t0.local_addr().expect("addr"))
+        .expect("peer");
+    let site = |s: u8, t: UdpTransport| {
+        let cfg = SyncConfig::two_player(s);
+        assert_eq!(cfg.cfps, 60);
+        let session = LockstepSession::new(
+            cfg,
+            coplay::games::Pong::new(),
+            t,
+            RandomPresser::new(Player(s), 7 + u64::from(s)),
+        );
+        std::thread::spawn(move || {
+            let mut shown: Vec<(std::time::Instant, FrameReport)> = Vec::new();
+            let counted = TickCounter {
+                inner: session,
+                ticks: 0,
+            };
+            let (_, counted) = run_realtime(counted, FRAMES, |r, _| {
+                shown.push((std::time::Instant::now(), *r));
+            })
+            .expect("session ran");
+            (shown, counted.ticks)
+        })
+    };
+    let (ja, jb) = (site(0, t0), site(1, t1));
+    let runs = [ja.join().expect("site 0"), jb.join().expect("site 1")];
+    for (s, (shown, ticks)) in runs.iter().enumerate() {
+        assert_eq!(shown.len() as u64, FRAMES, "site {s}");
+        let span = shown[shown.len() - 1].0 - shown[0].0;
+        let fps = (FRAMES - 1) as f64 / span.as_secs_f64();
+        let per_frame = *ticks as f64 / FRAMES as f64;
+        assert!(fps >= 55.0, "site {s}: {fps:.1} frames/s");
+        assert!(per_frame <= 4.0, "site {s}: {per_frame:.2} ticks per frame");
+    }
+    let hashes =
+        |i: usize| -> Vec<Option<u64>> { runs[i].0.iter().map(|(_, r)| r.state_hash).collect() };
+    assert_eq!(hashes(0), hashes(1), "replicas diverged over real UDP");
+}
+
 #[test]
 fn rom_mismatch_refuses_to_start() {
     // Site 1 loads a different cartridge; the handshake must detect it.
@@ -106,7 +198,6 @@ fn rom_mismatch_refuses_to_start() {
     let (ta, tb) = loopback(PeerId(0), PeerId(1));
     let mut a = LockstepSession::new(SyncConfig::two_player(0), Console::new(rom_a), ta, Idle);
     let mut b = LockstepSession::new(SyncConfig::two_player(1), Console::new(rom_b), tb, Idle);
-    use coplay::clock::SimTime;
     // b hellos with its hash; a refuses to admit it but answers, and b's
     // handshake fails on the ack. The master stays up for a real peer.
     let _ = b.tick(SimTime::ZERO).expect("b sends hello");
