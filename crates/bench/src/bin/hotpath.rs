@@ -85,6 +85,21 @@ fn bench_ns(budget: Duration, mut f: impl FnMut()) -> u64 {
     }
 }
 
+/// Times one operation directly: `sample` prepares its state untimed,
+/// then returns the elapsed time of the op alone. Sampling runs for at
+/// least `budget` and 101 samples, and the median is returned, so a
+/// preempted sample moves the result by one rank, not by its length.
+fn median_op_ns(budget: Duration, mut sample: impl FnMut() -> Duration) -> u64 {
+    sample(); // warmup: touch caches, fault in pages
+    let mut samples = Vec::new();
+    let start = Instant::now();
+    while samples.len() < 101 || start.elapsed() < budget {
+        samples.push(sample());
+    }
+    samples.sort_unstable();
+    samples[samples.len() / 2].as_nanos() as u64
+}
+
 /// Deterministic pseudo-input for a frame (splitmix-style mix).
 fn input_for(frame: u64) -> InputWord {
     let mut x = frame.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x0C05_01A1;
@@ -154,7 +169,6 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             let f = m.frame();
             m.step_frame(input_for(f));
         });
-        let resim_ns = ns;
         measurements.push(Measurement {
             key: format!("{name}/resim_frame"),
             ns_per_op: ns,
@@ -214,13 +228,11 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             );
         }
 
-        // O(dirty) checkpoint capture: step a frame, then capture straight
-        // into the ring — the machine's dirty accumulators pick the byte
-        // ranges, the old tail bytes become a raw back-patch, and the
-        // machine rewrites only those ranges in the tail. The step itself
-        // is measured above (`resim_frame`), so the difference is the pure
-        // checkpoint cost — the number the dirty tracking exists to
-        // shrink. Hashes are dummies: the ring stores them opaquely and
+        // O(dirty) checkpoint capture: step a frame (untimed), then time
+        // the capture straight into the ring alone — the machine's dirty
+        // accumulators pick the byte ranges, the old tail bytes become a
+        // raw back-patch, and the machine rewrites only those ranges in
+        // the tail. Hashes are dummies: the ring stores them opaquely and
         // per-frame hashing is costed elsewhere.
         let mut dirty_ring = SnapshotRing::new(8);
         // Ring frames use their own counter: native games reset their
@@ -228,46 +240,49 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
         // enough to cross several match boundaries.
         let mut ck = 0u64;
         let mut last = dirty_ring.checkpoint_from(ck, 0, &mut m);
-        let ckpt_total_ns = bench_ns(budget, || {
+        let ns = median_op_ns(budget, || {
             let f = m.frame();
             m.step_frame(input_for(f));
             ck += 1;
+            let start = Instant::now();
             last = dirty_ring.checkpoint_from(ck, 0, &mut m);
+            start.elapsed()
         });
         measurements.push(Measurement {
             key: format!("{name}/checkpoint_dirty"),
-            ns_per_op: ckpt_total_ns.saturating_sub(resim_ns),
+            ns_per_op: ns,
             bytes_per_op: last.dirty_bytes as u64,
         });
 
         // Bitmap-guided rollback restore, production shape: the machine
-        // drifts one frame off the anchor checkpoint, saves the due
-        // checkpoint, then a misprediction rewinds the ring to the anchor
-        // and patches only the divergent pages back into the machine.
-        // Each iteration is step + checkpoint + repair; subtracting the
-        // previous bench's step + checkpoint total isolates the repair.
+        // drifts one frame off the anchor checkpoint and saves the due
+        // checkpoint (untimed), then a misprediction rewinds the ring to
+        // the anchor and patches only the divergent pages back into the
+        // machine — the timed part.
         let mut rring = SnapshotRing::new(8);
         let mut kr = 0u64;
         rring.checkpoint_from(kr, 0, &mut m);
         let mut rout = Vec::new();
         m.save_state_into(&mut rout);
         let mut rdirty = DirtyPages::default();
-        let ns = bench_ns(budget, || {
+        let ns = median_op_ns(budget, || {
             let f = m.frame();
             m.step_frame(input_for(f));
             kr += 1;
             rring.checkpoint_from(kr, 0, &mut m);
             m.collect_dirty_into(&mut rdirty);
+            let start = Instant::now();
             rring
                 .rewind_into(0, &mut rout, &mut rdirty)
                 .expect("anchor checkpoint rewinds");
             m.load_state_dirty(&rout, &rdirty)
                 .expect("checkpoint bytes reload");
+            start.elapsed()
         });
         let restored_bytes: usize = rdirty.byte_ranges().map(|(s, e)| e - s).sum();
         measurements.push(Measurement {
             key: format!("{name}/restore_dirty"),
-            ns_per_op: ns.saturating_sub(ckpt_total_ns),
+            ns_per_op: ns,
             bytes_per_op: restored_bytes as u64,
         });
 

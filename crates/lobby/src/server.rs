@@ -17,6 +17,15 @@ use crate::wire::{JoinRefusal, LobbyMessage, SessionEntry, SessionId, MAX_LISTED
 /// A session dies this long after its last register/heartbeat.
 pub const SESSION_TTL: SimDuration = SimDuration::from_secs(30);
 
+/// Most live sessions the registry holds. A `Register` for a new session
+/// past it is dropped and counted (`dropped_total`), so the host's
+/// `register_session` retransmits until a slot frees up or its deadline
+/// passes (`LobbyError::Timeout`).
+pub const MAX_SESSIONS: usize = 256;
+
+/// Most live sessions one host address may register, under the same rule.
+pub const MAX_SESSIONS_PER_HOST: usize = 4;
+
 #[derive(Debug)]
 struct Registration {
     name: String,
@@ -152,14 +161,17 @@ impl LobbyServer {
             } => {
                 self.metrics.counter_add("register_total", 1);
                 // Idempotent: re-registering the same host+name refreshes.
-                if let Some((&id, reg)) = self
-                    .sessions
-                    .iter_mut()
-                    .find(|(_, s)| s.host == from && s.name == *name)
-                {
-                    reg.last_seen = now;
-                    reg.rom_hash = *rom_hash;
-                    return vec![(from, LobbyMessage::Registered { id })];
+                let mut hosted = 0;
+                for (&id, reg) in self.sessions.iter_mut().filter(|(_, s)| s.host == from) {
+                    if reg.name == *name {
+                        reg.last_seen = now;
+                        reg.rom_hash = *rom_hash;
+                        return vec![(from, LobbyMessage::Registered { id })];
+                    }
+                    hosted += 1;
+                }
+                if self.sessions.len() >= MAX_SESSIONS || hosted >= MAX_SESSIONS_PER_HOST {
+                    return self.dropped();
                 }
                 let id = SessionId(self.next_id);
                 self.next_id += 1;
@@ -186,8 +198,10 @@ impl LobbyServer {
             LobbyMessage::Unregister { id } => {
                 if self.sessions.get(id).is_some_and(|s| s.host == from) {
                     self.sessions.remove(id);
+                    Vec::new()
+                } else {
+                    self.dropped()
                 }
-                Vec::new()
             }
             LobbyMessage::Heartbeat {
                 id,
@@ -199,18 +213,17 @@ impl LobbyServer {
                 dropped_events,
                 dropped_spans,
             } => {
-                if let Some(s) = self.sessions.get_mut(id) {
-                    if s.host == from {
-                        s.last_seen = now;
-                        s.rollbacks = *rollbacks;
-                        s.resimulated_frames = *resimulated_frames;
-                        s.max_rollback_depth = *max_rollback_depth;
-                        s.snapshot_bytes_saved = *snapshot_bytes_saved;
-                        s.snapshot_bytes_restored = *snapshot_bytes_restored;
-                        s.dropped_events = *dropped_events;
-                        s.dropped_spans = *dropped_spans;
-                    }
-                }
+                let Some(s) = self.sessions.get_mut(id).filter(|s| s.host == from) else {
+                    return self.dropped();
+                };
+                s.last_seen = now;
+                s.rollbacks = *rollbacks;
+                s.resimulated_frames = *resimulated_frames;
+                s.max_rollback_depth = *max_rollback_depth;
+                s.snapshot_bytes_saved = *snapshot_bytes_saved;
+                s.snapshot_bytes_restored = *snapshot_bytes_restored;
+                s.dropped_events = *dropped_events;
+                s.dropped_spans = *dropped_spans;
                 Vec::new()
             }
             LobbyMessage::List => {
@@ -275,8 +288,16 @@ impl LobbyServer {
                 vec![(from, LobbyMessage::MetricsReport { text })]
             }
             // Server-to-client messages arriving at the server are noise.
-            _ => Vec::new(),
+            _ => self.dropped(),
         }
+    }
+
+    /// Counts a request the registry drops unanswered: a `Register` past a
+    /// cap, a `Heartbeat` or `Unregister` from anyone but the session's
+    /// host, or a server-to-client message.
+    fn dropped(&mut self) -> Vec<(PeerId, LobbyMessage)> {
+        self.metrics.counter_add("dropped_total", 1);
+        Vec::new()
     }
 }
 
@@ -514,5 +535,78 @@ mod tests {
                 t(0)
             )
             .is_empty());
+    }
+
+    #[test]
+    fn hostile_requests_are_dropped_and_counted_while_an_honest_host_stays_listed() {
+        let mut server = LobbyServer::new();
+        let honest = PeerId(1);
+        let id = register(&mut server, honest, "duel", 2);
+        let (mallory, trudy) = (PeerId(66), PeerId(67));
+        let reg = |name: String| LobbyMessage::Register {
+            name,
+            rom_hash: 7,
+            slots: 2,
+        };
+        // (sender, request, dropped?) — the mix a hostile address can send.
+        let mut script: Vec<(PeerId, LobbyMessage, bool)> = Vec::new();
+        for k in 0..=MAX_SESSIONS_PER_HOST {
+            let over_cap = k == MAX_SESSIONS_PER_HOST;
+            script.push((mallory, reg(format!("m{k}")), over_cap));
+        }
+        script.push((mallory, reg("m0".into()), false)); // refresh, under the cap
+        script.push((mallory, heartbeat(id, 999, 999, 999), true));
+        script.push((mallory, LobbyMessage::Unregister { id }, true));
+        script.push((trudy, heartbeat(SessionId(9999), 0, 0, 0), true));
+        script.push((
+            trudy,
+            LobbyMessage::Unregister {
+                id: SessionId(9999),
+            },
+            true,
+        ));
+        script.push((trudy, LobbyMessage::Registered { id }, true));
+        let listing = LobbyMessage::Listing {
+            sessions: Vec::new(),
+        };
+        script.push((trudy, listing, true));
+        let report = LobbyMessage::MetricsReport { text: "x".into() };
+        script.push((trudy, report, true));
+        // Many addresses fill the registry; past the total cap even a new
+        // host is turned away, while the honest host's refresh still works.
+        let fillers = MAX_SESSIONS - 1 - MAX_SESSIONS_PER_HOST;
+        for k in 0..fillers {
+            let host = PeerId(100 + (k / MAX_SESSIONS_PER_HOST) as u8);
+            script.push((host, reg(format!("f{k}")), false));
+        }
+        script.push((PeerId(99), reg("late".into()), true));
+        script.push((honest, reg("duel".into()), false));
+        script.push((trudy, LobbyMessage::Join { id }, false));
+
+        for (i, (from, msg, drop)) in script.iter().enumerate() {
+            let now = t(1);
+            let replies = server.handle(*from, msg, now);
+            assert!(
+                replies.iter().all(|r| r.0 == *from),
+                "step {i}: {replies:?}"
+            );
+            assert_eq!(replies.is_empty(), *drop, "step {i}: {msg:?}");
+            assert!(server.session_count() <= MAX_SESSIONS, "step {i}");
+            // The honest host heartbeats throughout and is never displaced.
+            assert!(server
+                .handle(honest, &heartbeat(id, 1, 2, 3), now)
+                .is_empty());
+            match &server.handle(honest, &LobbyMessage::List, now)[0].1 {
+                LobbyMessage::Listing { sessions } => assert_eq!(sessions[0].id, id),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(server.session_count(), MAX_SESSIONS);
+        let drops = script.iter().filter(|s| s.2).count() as u64;
+        assert_eq!(server.metrics().counter("dropped_total"), drops);
+        // Stranger heartbeats never overwrote the host's report.
+        let text = server.metrics_text();
+        assert!(text.contains("coplay_lobby_session_rollbacks 1"), "{text}");
+        assert!(text.contains(&format!("coplay_lobby_dropped_total {drops}")));
     }
 }

@@ -104,7 +104,13 @@ pub struct SyncConfig {
     pub cfps: u32,
     /// Minimum interval between outbound sync messages. The paper's
     /// implementation buffers outbound messages and sends one per 20 ms
-    /// (§4.2's "10ms average, 20ms worst-case" term).
+    /// (§4.2's "10ms average, 20ms worst-case" term), a delay its budget
+    /// hides inside the local lag. When [`local_lag`](Self::local_lag) is
+    /// shorter than this interval nothing hides it, so a player sends
+    /// each fresh local frame at once and only retransmissions and pure
+    /// acks wait for the interval (see [`InputSync::outgoing`]).
+    ///
+    /// [`InputSync::outgoing`]: crate::InputSync::outgoing
     pub send_interval: SimDuration,
     /// How often a blocked `SyncInput` re-polls the network when no packet
     /// wakes it first.

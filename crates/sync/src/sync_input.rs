@@ -56,8 +56,11 @@ struct PeerState {
     last_rcv: u64,
     /// `LastAckFrame[p]`: the last of *our* partials `p` has acknowledged.
     last_ack: u64,
-    /// Highest local frame ever transmitted to `p` (telemetry only: frames
-    /// at or below this in a later message are retransmissions).
+    /// Highest local frame ever transmitted to `p`: the send high-water
+    /// mark. Frames above it are fresh; frames at or below it in a later
+    /// message are retransmissions. [`InputSync::outgoing`] lets only
+    /// fresh frames through the send interval (when the local lag is
+    /// shorter than it), and the telemetry span chain starts above it.
     last_sent: u64,
     /// We owe `p` a fresh ack (we received something since our last send).
     need_ack: bool,
@@ -288,12 +291,23 @@ impl InputSync {
 
     /// Lines 7–11: the messages to transmit now, if the send pacing allows
     /// and new information exists. Returns `(destination, message)` pairs.
+    ///
+    /// The paper sends at most one message per `send_interval`, and its
+    /// §4.2 budget charges that batching (10 ms average, 20 ms worst case)
+    /// against the local lag. When the lag is shorter than the interval
+    /// nothing hides the batch, so a player sends each local frame in the
+    /// tick that buffered it: inside the interval, a message goes to a
+    /// peer only if it carries a frame above that peer's send high-water
+    /// mark. Retransmissions and pure acks keep the paced cadence, and a
+    /// lag that covers the interval keeps the paper's pacing unchanged.
     pub fn outgoing(&mut self, now: SimTime) -> Vec<(u8, InputMsg)> {
-        if now < self.next_send {
+        let paced = now >= self.next_send;
+        let may_send = paced || (self.is_player() && self.cfg.local_lag() < self.cfg.send_interval);
+        if !may_send {
             // detlint: allow(hot_alloc) -- empty Vec::new() does not touch the heap
             return Vec::new();
         }
-        // detlint: allow(hot_alloc) -- non-empty only on paced sends, a few times per second
+        // detlint: allow(hot_alloc) -- non-empty only on sends, at most one per frame or interval
         let mut out = Vec::new();
         let my_site = self.cfg.my_site;
         let my_last = self.my_last_buffered;
@@ -319,6 +333,9 @@ impl InputSync {
                 } else {
                     first - 1 // empty payload (pure ack)
                 };
+                if !paced && (!has_inputs || last <= p.last_sent) {
+                    return None; // nothing fresh: wait for the interval
+                }
                 Some((site, ack, first, last))
             })
             .collect();
@@ -394,12 +411,23 @@ impl InputSync {
     /// cannot execute past our inputs plus its window, and buffers its own
     /// input one local lag further. Clipped frames are not acknowledged,
     /// so the sender retransmits them once the pointer has moved on.
+    ///
+    /// The same horizon bounds a player's ack from below. A player that
+    /// buffered its input up to `LastRcvFrame` has executed past
+    /// `LastRcvFrame − horizon`, which needed our input up to there, so an
+    /// honest ack is never lower; without the floor, a peer that sends
+    /// input but never acks would keep our input buffered, and resent,
+    /// without bound. On a player site an ack is also bounded from above by
+    /// the highest frame we sent that peer: acking a frame never sent is
+    /// bogus and would overflow the next message's first frame. An ack moved
+    /// into those bounds is counted (`input_ack_clamped_total`).
     pub fn on_message(&mut self, msg: &InputMsg, now: SimTime) -> RecvOutcome {
         let from = msg.from;
         if from == self.cfg.my_site {
             return RecvOutcome::default();
         }
-        let cap = self.pointer.saturating_add(self.horizon());
+        let horizon = self.horizon();
+        let cap = self.pointer.saturating_add(horizon);
         let Some(peer) = self.peers.get_mut(&from) else {
             return RecvOutcome::default(); // unknown sender: drop, as with any open UDP port
         };
@@ -455,10 +483,22 @@ impl InputSync {
             }
         }
 
-        // Lines 17–19: advance LastAckFrame[from].
-        if msg.ack > peer.last_ack {
-            peer.last_ack = msg.ack;
+        // Lines 17–19: advance LastAckFrame[from], with the ack kept
+        // between a player's floor and what we sent (see above).
+        let floor = if from < self.cfg.num_sites {
+            peer.last_rcv.saturating_sub(horizon)
+        } else {
+            0
+        };
+        let ceiling = if self.cfg.my_site < self.cfg.num_sites {
+            peer.last_sent
+        } else {
+            u64::MAX // an observer sends nothing; acks only drive pruning
+        };
+        if msg.ack > ceiling || (msg.ack < floor && peer.last_ack < floor) {
+            self.cfg.telemetry.counter_add("input_ack_clamped_total", 1);
         }
+        peer.last_ack = peer.last_ack.max(msg.ack.min(ceiling)).max(floor);
 
         let duplicate = carried > 0 && fresh == 0 && clipped == 0;
         self.cfg.telemetry.record(
@@ -721,6 +761,63 @@ mod tests {
         assert!(a.outgoing(t1).is_empty(), "paced out");
         let t2 = t0 + SimDuration::from_millis(20);
         assert!(!a.outgoing(t2).is_empty());
+    }
+
+    /// `SyncConfig::two_player(site)` with a `buf`-frame local lag.
+    fn lagged(site: u8, buf: u64) -> InputSync {
+        let mut cfg = SyncConfig::two_player(site);
+        cfg.buf_frames = buf;
+        InputSync::new(cfg)
+    }
+
+    #[test]
+    fn a_lag_shorter_than_the_send_interval_sends_each_fresh_frame() {
+        // Frames 16.7 ms apart: a 1-frame lag (16.7 ms < 20 ms) sends the
+        // second frame at once; a 2-frame lag (33 ms) holds it for the
+        // interval, as the paper's pacing does.
+        let tpf = SyncConfig::two_player(0).time_per_frame();
+        for (buf, sent_at_once) in [(1, true), (2, false)] {
+            let mut a = lagged(0, buf);
+            let t0 = SimTime::from_secs(5);
+            a.begin_frame(0, InputWord(1), t0);
+            let first = a.outgoing(t0);
+            assert_eq!(first.len(), 1, "lag {buf}");
+            assert_eq!(first[0].1.last(), buf, "lag {buf}: carries frame 0 + lag");
+            let _ = a.take(); // frame 0 is trivially ready
+            let t1 = t0 + tpf;
+            a.begin_frame(1, InputWord(1), t1);
+            let second = a.outgoing(t1);
+            if sent_at_once {
+                assert_eq!(second.len(), 1, "lag {buf}");
+                assert_eq!(second[0].1.last(), 1 + buf, "lag {buf}: the new frame");
+            } else {
+                assert!(second.is_empty(), "lag {buf}: paced out");
+                let t2 = t0 + SimDuration::from_millis(20);
+                assert_eq!(a.outgoing(t2)[0].1.last(), 1 + buf, "lag {buf}");
+            }
+        }
+    }
+
+    #[test]
+    fn without_a_fresh_frame_an_owed_ack_waits_for_the_interval() {
+        let (mut a, mut b) = (lagged(0, 1), lagged(1, 1));
+        let t0 = SimTime::from_secs(5);
+        a.begin_frame(0, InputWord(1), t0);
+        b.begin_frame(0, InputWord(0x0100), t0);
+        assert!(!a.outgoing(t0).is_empty());
+        // b's input arrives 5 ms later: a owes an ack but has nothing new.
+        let t1 = t0 + SimDuration::from_millis(5);
+        for (_, m) in b.outgoing(t0) {
+            a.on_message(&m, t1);
+        }
+        assert!(
+            a.outgoing(t1).is_empty(),
+            "ack and retransmission are paced"
+        );
+        let t2 = t0 + SimDuration::from_millis(20);
+        let paced = a.outgoing(t2);
+        assert_eq!(paced.len(), 1);
+        assert_eq!(paced[0].1.ack, 1, "the owed ack goes out at the interval");
     }
 
     #[test]
@@ -1071,5 +1168,75 @@ mod tests {
         };
         assert_eq!(s.on_message(&retransmit, now()).fresh, 3);
         assert_eq!(s.last_rcv(1), Some(horizon + 3));
+    }
+
+    #[test]
+    fn a_peer_that_never_acks_cannot_grow_the_buffer() {
+        let mut cfg = SyncConfig::two_player(0);
+        cfg.telemetry = coplay_telemetry::Telemetry::recording();
+        let telemetry = cfg.telemetry.clone();
+        let max_payload = cfg.max_payload_frames;
+        let horizon = cfg.buf_frames + cfg.max_payload_frames as u64;
+        let mut s = InputSync::new(cfg);
+        // The peer keeps pace, one contiguous frame per frame, but always
+        // acks 0; without the ack floor every frame of ours stays buffered.
+        let mut floored = 0;
+        for f in 0..200u64 {
+            let t = SimTime::from_millis(f * 17);
+            s.begin_frame(f, InputWord(1), t);
+            let first = s.last_rcv(1).unwrap() + 1;
+            let acked = s.last_ack(1);
+            s.on_message(
+                &InputMsg {
+                    from: 1,
+                    ack: 0,
+                    first,
+                    inputs: vec![InputWord(0x0100)],
+                },
+                t,
+            );
+            if s.last_ack(1) > acked {
+                floored += 1; // only the floor can move an ack of 0
+            }
+            for (_, m) in s.outgoing(t) {
+                assert!(m.inputs.len() <= max_payload, "{}", m.inputs.len());
+            }
+            let _ = s.take();
+        }
+        // The retention window plus our lag and the frame in hand.
+        assert!(
+            s.buf.len() as u64 <= RETAIN_FRAMES + 7,
+            "buffer holds {}",
+            s.buf.len()
+        );
+        assert_eq!(s.last_ack(1), Some(s.last_rcv(1).unwrap() - horizon));
+        assert!(floored > 0);
+        assert_eq!(telemetry.counter("input_ack_clamped_total"), floored);
+    }
+
+    #[test]
+    fn an_ack_past_anything_sent_is_clamped_and_counted() {
+        let mut cfg = SyncConfig::two_player(0);
+        cfg.telemetry = coplay_telemetry::Telemetry::recording();
+        let telemetry = cfg.telemetry.clone();
+        let (mut a, mut b) = (
+            InputSync::new(cfg),
+            InputSync::new(SyncConfig::two_player(1)),
+        );
+        let bogus = InputMsg {
+            from: 1,
+            ack: u64::MAX,
+            first: 6,
+            inputs: Vec::new(),
+        };
+        a.on_message(&bogus, now());
+        assert_eq!(a.last_ack(1), Some(5), "nothing was sent past frame 5");
+        assert_eq!(telemetry.counter("input_ack_clamped_total"), 1);
+        // The session goes on: every frame is still sent and pruned.
+        for f in 0..600 {
+            lockstep_frame(&mut a, &mut b, f, InputWord(1), InputWord(0x0100));
+        }
+        assert!(a.buf.len() as u64 <= RETAIN_FRAMES + 16, "{}", a.buf.len());
+        assert_eq!(telemetry.counter("input_ack_clamped_total"), 1);
     }
 }

@@ -104,13 +104,12 @@ fn run_adversarial(
         now = now.offset(tick.into());
     }
 
-    // Reordered and duplicated honest input is never clipped or rejected.
+    // Reordered and duplicated honest input is never clipped or rejected,
+    // and honest acks are never clamped.
     for (site, r) in replicas.iter().enumerate() {
-        assert_eq!(
-            r.telemetry.counter("input_rejected_total"),
-            0,
-            "site {site}"
-        );
+        for counter in ["input_rejected_total", "input_ack_clamped_total"] {
+            assert_eq!(r.telemetry.counter(counter), 0, "site {site}: {counter}");
+        }
     }
 
     let mut stats = links[0].stats();
@@ -230,7 +229,9 @@ fn rollback_site_matches_lockstep_site_over_adversarial_links() {
     );
 
     for (site, t) in telemetry.iter().enumerate() {
-        assert_eq!(t.counter("input_rejected_total"), 0, "site {site}");
+        for counter in ["input_rejected_total", "input_ack_clamped_total"] {
+            assert_eq!(t.counter(counter), 0, "site {site}: {counter}");
+        }
     }
 
     let common = confirmed.len().min(lockstep.len());

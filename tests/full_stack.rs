@@ -414,3 +414,77 @@ fn stopping_a_session_notifies_the_peer() {
         coplay::sync::RunOutcome::Stopped(coplay::sync::StopReason::PeerLeft)
     );
 }
+
+/// With a one-frame local lag (16.7 ms) the 20 ms send batch cannot hide
+/// behind the lag, so each site must send its input the frame it was
+/// buffered: at least one input message per executed frame, not one per
+/// 20 ms (0.83 per frame). The pair runs rollback over a simulated
+/// 100 ms RTT and its confirmed hashes must agree.
+#[test]
+fn one_frame_lag_rollback_sends_every_frame_at_100ms_rtt() {
+    use coplay::clock::{Clock, SimDuration, VirtualClock};
+    use coplay::net::{NetemConfig, SimNetwork};
+    use coplay::rollback::RollbackSession;
+    use coplay::sync::ConsistencyMode;
+    use coplay::telemetry::Telemetry;
+
+    const FRAMES: u64 = 300;
+    let clock = VirtualClock::new();
+    let net = SimNetwork::shared(clock.clone());
+    let link = NetemConfig::with_rtt(SimDuration::from_millis(100));
+    SimNetwork::link_pair(&net, PeerId(0), PeerId(1), link, 0x1A6);
+    let telemetry = [Telemetry::recording(), Telemetry::recording()];
+    let site = |s: u8| {
+        let mut cfg = SyncConfig::two_player(s);
+        cfg.consistency = ConsistencyMode::rollback();
+        cfg.buf_frames = 1;
+        cfg.telemetry = telemetry[usize::from(s)].clone();
+        RollbackSession::new(
+            cfg,
+            coplay::games::rom_race_console(),
+            SimNetwork::socket(&net, PeerId(s)),
+            RandomPresser::new(Player(s), 31 + u64::from(s)),
+        )
+    };
+    let mut sites = [site(0), site(1)];
+    let mut confirmed: [Vec<(u64, u64)>; 2] = [Vec::new(), Vec::new()];
+    for _ in 0..60_000 {
+        let now = clock.now();
+        net.borrow_mut().deliver_due(now);
+        for (s, session) in sites.iter_mut().enumerate() {
+            session.tick(now).expect("site failed");
+            confirmed[s].extend(session.take_confirmed());
+        }
+        if sites.iter().all(|s| s.stats().frames >= FRAMES) {
+            break;
+        }
+        clock.set(now + SimDuration::from_millis(1));
+    }
+    for (s, session) in sites.iter().enumerate() {
+        let stats = session.stats();
+        assert!(
+            stats.frames >= FRAMES,
+            "site {s} wedged at {}",
+            stats.frames
+        );
+        // Slack for the handshake and the first frames, before input flows.
+        assert!(
+            stats.input_messages_sent + 5 >= stats.frames,
+            "site {s}: {} input messages for {} frames",
+            stats.input_messages_sent,
+            stats.frames
+        );
+        // Honest acks are never clamped.
+        assert_eq!(telemetry[s].counter("input_ack_clamped_total"), 0);
+    }
+    let common = confirmed[0].len().min(confirmed[1].len());
+    assert!(
+        common as u64 >= FRAMES - 10,
+        "only {common} frames confirmed"
+    );
+    assert_eq!(
+        confirmed[0][..common],
+        confirmed[1][..common],
+        "confirmed hashes diverged"
+    );
+}
