@@ -4,8 +4,8 @@
 //! capture, checkpoint restore, and resimulation all run on the critical
 //! path, and the per-frame input send shares it. This binary times each of
 //! those operations per bundled game (plus the wire codec) and writes
-//! `results/BENCH_hotpath.json` with ns/op and bytes/op and the
-//! interpreter's decode-cache and fusion rates.
+//! `results/BENCH_hotpath.json` with ns/op and bytes/op, plus each game's
+//! per-frame `state_hash` cost.
 //!
 //! Run: `cargo run --release -p coplay-bench --bin hotpath [--quick]`
 //!
@@ -26,13 +26,10 @@
 use std::time::{Duration, Instant};
 
 use coplay_bench::{banner, write_results_json, Options};
-use coplay_games::{catalog, rom_pong_console, rom_race_console};
+use coplay_games::catalog;
 use coplay_rollback::SnapshotRing;
 use coplay_sync::{InputMsg, Message};
-use coplay_vm::{
-    Console, Cpu, Devices, DirtyPages, InputWord, Instruction, InterpMode, Machine, Reg, Rom,
-    StepMode, Syscall, DEFAULT_CYCLES_PER_FRAME,
-};
+use coplay_vm::{DirtyPages, InputWord, Machine, StepMode};
 
 /// Regression threshold: fail when an op is more than this many times
 /// slower than the baseline.
@@ -53,12 +50,6 @@ struct Measurement {
 struct GameSummary {
     name: &'static str,
     snapshot_bytes: u64,
-    /// Interpreter decode-cache warm-dispatch rate in thousandths; 0 for
-    /// native-Rust machines that have no interpreter.
-    decode_hit_rate_milli: u64,
-    /// Share of dispatched instructions retired through fused
-    /// superinstruction pairs, in thousandths; 0 for native machines.
-    fusion_rate_milli: u64,
 }
 
 /// Times `f` repeatedly, doubling the iteration count until one batch
@@ -157,8 +148,17 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             bytes_per_op: snapshot_bytes,
         });
 
-        // Advance to the repair anchor; `measure_interp` replicates this
-        // schedule so both pin the same checkpoint frame.
+        // The digest a session computes after every executed frame.
+        let ns = bench_ns(budget, || {
+            std::hint::black_box(m.state_hash());
+        });
+        measurements.push(Measurement {
+            key: format!("{name}/state_hash"),
+            ns_per_op: ns,
+            bytes_per_op: 0,
+        });
+
+        // Advance to the repair anchor.
         for f in 121..153 {
             m.step_frame(input_for(f));
         }
@@ -212,21 +212,6 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             ns_per_op: ns / 8,
             bytes_per_op: 0,
         });
-
-        // Checkpoint restores diff the incoming image block-by-block and
-        // invalidate only decode slots covering bytes that actually
-        // changed — so across the thousands of repairs the two benches
-        // above just ran, the cache must have stayed warm. A whole-table
-        // flush on restore would show up here immediately.
-        if let Some(stats) = m.interp_stats() {
-            assert!(
-                stats.hit_rate_milli() >= 990,
-                "{name}: decode cache went cold across rollback restores \
-                 ({} hits / {} misses)",
-                stats.hits,
-                stats.misses,
-            );
-        }
 
         // O(dirty) checkpoint capture: step a frame (untimed), then time
         // the capture straight into the ring alone — the machine's dirty
@@ -286,159 +271,13 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             bytes_per_op: restored_bytes as u64,
         });
 
-        let decode_hit_rate_milli = m.interp_stats().map_or(0, |s| s.hit_rate_milli());
-        let fusion_rate_milli = m.interp_stats().map_or(0, |s| s.fusion_rate_milli());
-
         summaries.push(GameSummary {
             name,
             snapshot_bytes,
-            decode_hit_rate_milli,
-            fusion_rate_milli,
         });
     }
 
     (measurements, summaries)
-}
-
-/// A self-modifying program: each frame stores the frame counter into the
-/// immediate of a later `ldi`, forcing the decode cache to invalidate and
-/// re-fill that slot every frame. Its `step_frame` cost is the
-/// cache-invalidation metric — the worst case the cache can be driven to.
-fn smc_rom() -> Rom {
-    let program: Vec<u8> = [
-        Instruction::In(Reg(4), 2),
-        Instruction::Ldi(Reg(3), 0x12),
-        Instruction::Stb(Reg(3), Reg(4), 0),
-        Instruction::Nop,
-        Instruction::Ldi(Reg(1), 0xAA00), // imm low byte at 0x12, patched above
-        Instruction::Yield,
-        Instruction::Jmp(0),
-    ]
-    .iter()
-    .flat_map(|i| i.encode())
-    .collect();
-    Rom::builder("SMC Probe").image(program).build()
-}
-
-/// A do-nothing device bus: isolates raw interpreter dispatch cost from
-/// framebuffer/audio work when timing `interp_step`.
-struct NullDev;
-
-impl Devices for NullDev {
-    fn input_port(&mut self, _port: u8) -> u16 {
-        0
-    }
-    fn syscall(&mut self, _call: Syscall, _regs: &[u16; 16]) {}
-}
-
-/// Interpreter fast-path metrics per ROM game: the reference-decoder
-/// counterparts of `resim_frame` / `rollback_repair_8` (the on-vs-off
-/// speedup the predecode cache buys), per-instruction dispatch cost, and
-/// the self-modifying-code worst case in both modes.
-type MakeConsole = fn() -> Console;
-
-fn measure_interp(budget: Duration) -> Vec<Measurement> {
-    let mut out = Vec::new();
-    let roms: [(&str, MakeConsole); 2] = [
-        ("ROM Pong", rom_pong_console as MakeConsole),
-        ("Button Race", rom_race_console as MakeConsole),
-    ];
-    for (name, make) in roms {
-        // Phase-lock with `measure_games`: replicate its exact stepping
-        // schedule (153 frames, then `repair_anchor`) so the reference
-        // numbers pin the *same* checkpoint frame as the cache-on ones —
-        // both interpreter loops are state-identical, so any cost
-        // difference is pure mode.
-        let mut slow = make().with_interp_mode(InterpMode::Reference);
-        for f in 0..153 {
-            slow.step_frame(input_for(f));
-        }
-        let (newest, anchor) = repair_anchor(&mut slow);
-
-        // Reference-mode resimulation: same loop shape as the cache-on
-        // `resim_frame` measurement over in `measure_games`.
-        let ns = bench_ns(budget, || {
-            let f = slow.frame();
-            slow.step_frame(input_for(f));
-        });
-        out.push(Measurement {
-            key: format!("{name}/resim_frame_ref"),
-            ns_per_op: ns,
-            bytes_per_op: 0,
-        });
-
-        // Reference-mode full repair, same shape as the cache-on metric —
-        // checkpoint copy, state reload, 8 resimulated frames — so the
-        // on/off ratio compares like with like.
-        let mut rbuf = Vec::new();
-        let ns = bench_ns(budget, || {
-            rbuf.clone_from(&anchor);
-            slow.load_state(&rbuf).expect("checkpoint bytes reload");
-            for k in 1..=8 {
-                slow.step_frame(input_for(newest + k));
-            }
-        });
-        out.push(Measurement {
-            key: format!("{name}/rollback_repair_8_ref"),
-            ns_per_op: ns / 8,
-            bytes_per_op: 0,
-        });
-
-        // Pure interpreter dispatch cost per instruction, isolated from the
-        // mode-independent frame work (drawing, audio, bus glue) that
-        // dilutes whole-frame ratios: a bare CPU running the same program
-        // against a do-nothing device. bytes_per_op carries the
-        // instructions retired per frame. `interp_step` pins fusion off so
-        // the row keeps measuring what it always measured (plain predecoded
-        // dispatch); `interp_step_fused` is the production configuration.
-        for (mode, fusion, key) in [
-            (InterpMode::Predecoded, false, "interp_step"),
-            (InterpMode::Predecoded, true, "interp_step_fused"),
-            (InterpMode::Reference, false, "interp_step_ref"),
-        ] {
-            let rom = make().rom().clone();
-            let mut cpu = Cpu::new(rom.entry(), rom.seed());
-            cpu.load_image(rom.image());
-            cpu.set_interp_mode(mode);
-            cpu.set_fusion_enabled(fusion);
-            let mut dev = NullDev;
-            for _ in 0..120 {
-                cpu.run_frame(DEFAULT_CYCLES_PER_FRAME, &mut dev);
-            }
-            let (_, instr_per_frame) = cpu.run_frame(DEFAULT_CYCLES_PER_FRAME, &mut dev);
-            let instr = u64::from(instr_per_frame).max(1);
-            let ns_frame = bench_ns(budget, || {
-                std::hint::black_box(cpu.run_frame(DEFAULT_CYCLES_PER_FRAME, &mut dev));
-            });
-            out.push(Measurement {
-                key: format!("{name}/{key}"),
-                ns_per_op: ns_frame / instr,
-                bytes_per_op: instr,
-            });
-        }
-    }
-
-    // Cache-invalidation worst case: a program that patches its own code
-    // every frame, cache on vs off.
-    let mut fast = Console::new(smc_rom());
-    let mut slow = Console::new(smc_rom()).with_interp_mode(InterpMode::Reference);
-    for _ in 0..10 {
-        fast.step_frame(InputWord::NONE);
-        slow.step_frame(InputWord::NONE);
-    }
-    let ns = bench_ns(budget, || fast.step_frame(InputWord::NONE));
-    out.push(Measurement {
-        key: "smc/step_frame".to_string(),
-        ns_per_op: ns,
-        bytes_per_op: 0,
-    });
-    let ns = bench_ns(budget, || slow.step_frame(InputWord::NONE));
-    out.push(Measurement {
-        key: "smc/step_frame_ref".to_string(),
-        ns_per_op: ns,
-        bytes_per_op: 0,
-    });
-    out
 }
 
 fn measure_wire(budget: Duration) -> Vec<Measurement> {
@@ -512,12 +351,9 @@ fn render_json(opts: &Options, games: &[GameSummary], measurements: &[Measuremen
     out.push_str(&format!("  \"seed\": {},\n  \"games\": [\n", opts.seed));
     for (i, g) in games.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"game\": \"{}\", \"snapshot_bytes\": {}, \
-             \"decode_hit_rate_milli\": {}, \"fusion_rate_milli\": {}}}{}\n",
+            "    {{\"game\": \"{}\", \"snapshot_bytes\": {}}}{}\n",
             g.name,
             g.snapshot_bytes,
-            g.decode_hit_rate_milli,
-            g.fusion_rate_milli,
             if i + 1 < games.len() { "," } else { "" },
         ));
     }
@@ -632,7 +468,6 @@ fn main() {
     };
 
     let (mut measurements, games) = measure_games(budget);
-    measurements.extend(measure_interp(budget));
     measurements.extend(measure_wire(budget));
     measurements.extend(measure_telemetry(budget));
 
@@ -641,73 +476,18 @@ fn main() {
         println!("{:<28} {:>10} {:>10}", m.key, m.ns_per_op, m.bytes_per_op);
     }
     println!();
-    println!(
-        "{:<12} {:>14} {:>15} {:>12}",
-        "game", "snapshot B", "decode hits", "fused"
-    );
+    println!("{:<12} {:>14}", "game", "snapshot B");
     for g in &games {
-        println!(
-            "{:<12} {:>14} {:>13}.{:01}% {:>10}.{:01}%",
-            g.name,
-            g.snapshot_bytes,
-            g.decode_hit_rate_milli / 10,
-            g.decode_hit_rate_milli % 10,
-            g.fusion_rate_milli / 10,
-            g.fusion_rate_milli % 10,
-        );
+        println!("{:<12} {:>14}", g.name, g.snapshot_bytes);
     }
     println!();
 
-    // The headline the predecode cache exists for: cache-on vs reference
-    // interpreter on the resimulation/repair path.
     let ns_of = |key: &str| {
         measurements
             .iter()
             .find(|m| m.key == key)
             .map(|m| m.ns_per_op)
     };
-    for name in ["ROM Pong", "Button Race"] {
-        for (op, op_ref) in [
-            ("interp_step", "interp_step_ref"),
-            ("interp_step_fused", "interp_step_ref"),
-            ("resim_frame", "resim_frame_ref"),
-            ("rollback_repair_8", "rollback_repair_8_ref"),
-        ] {
-            if let (Some(on), Some(off)) = (
-                ns_of(&format!("{name}/{op}")),
-                ns_of(&format!("{name}/{op_ref}")),
-            ) {
-                println!(
-                    "{name}/{op}: {off} -> {on} ns/op ({}.{:01}x with decode cache)",
-                    off / on.max(1),
-                    (off * 10 / on.max(1)) % 10,
-                );
-            }
-        }
-        // The repair budget this whole PR chases: headless resimulation of
-        // the 8-frame repair window at under a microsecond per frame.
-        if let Some(ns) = ns_of(&format!("{name}/repair_headless")) {
-            let verdict = if ns < 1000 { "within" } else { "OVER" };
-            println!("{name}/repair_headless: {ns} ns/frame ({verdict} the 1 us/frame budget)");
-        }
-        // Dirty-page checkpointing budgets: a delta checkpoint save in
-        // 300 ns and a same-session bitmap-guided restore in 1 us.
-        if let Some(ns) = ns_of(&format!("{name}/checkpoint_dirty")) {
-            let verdict = if ns <= 300 { "within" } else { "OVER" };
-            println!("{name}/checkpoint_dirty: {ns} ns/op ({verdict} the 0.3 us capture budget)");
-        }
-        if let Some(ns) = ns_of(&format!("{name}/restore_dirty")) {
-            let verdict = if ns <= 1000 { "within" } else { "OVER" };
-            println!("{name}/restore_dirty: {ns} ns/op ({verdict} the 1 us restore budget)");
-        }
-    }
-    if let (Some(on), Some(off)) = (ns_of("smc/step_frame"), ns_of("smc/step_frame_ref")) {
-        println!(
-            "smc/step_frame: {off} -> {on} ns/op ({}.{:01}x with decode cache under self-modification)",
-            off / on.max(1),
-            (off * 10 / on.max(1)) % 10,
-        );
-    }
     if let (Some(off), Some(on)) = (
         ns_of("telemetry/span_tracing_off"),
         ns_of("telemetry/span_tracing_on"),

@@ -23,14 +23,14 @@
 //! |------|-----------|-----------------|-----------|
 //! | wire codecs (`net/bytes`, `lobby/wire`, `sync/wire`, `relay/wire`) | ✓ | ✓ | – |
 //! | transport (`net/{udp,sim,transport,netem,ready}`, `lobby/{server,client,lib}`, `relay/{server,client,udp,lib}`) | ✓ | – | – |
-//! | hot path (`rollback/src/*`, `sync/{driver,snapshot,predict,sync_input}`, `vm/{cpu,predecode,console,audio,dirty}`, `relay/server`, `net/ready`) | ✓ | – | ✓‡ |
+//! | hot path (`rollback/src/*`, `sync/{driver,snapshot,predict,sync_input}`, `vm/{cpu,console,audio,dirty}`, `relay/server`, `net/ready`) | ✓ | – | ✓‡ |
 //!
 //! ‡ `hot_alloc` applies to exactly the modules PRs 4–5 made alloc-free
 //! plus the relay's per-datagram fan-out, the frame-step path headless
 //! resimulation runs through, the dirty-page bitmap every checkpoint
 //! and rollback walks, and the readiness wait's arming, which runs on
 //! every empty receive:
-//! `sync/{driver,snapshot,sync_input}.rs`, `vm/{cpu,predecode,console,audio,dirty}.rs`,
+//! `sync/{driver,snapshot,sync_input}.rs`, `vm/{cpu,console,audio,dirty}.rs`,
 //! `relay/src/server.rs`, `net/src/ready.rs`. The snapshot ring, the predictor, and the
 //! session driver moved from `crates/rollback` into `crates/sync` when
 //! lockstep and rollback became one driver; they kept their fences at the
@@ -87,7 +87,6 @@ fn hot_panic_zone(rel: &str) -> bool {
                 | "crates/sync/src/snapshot.rs"
                 | "crates/sync/src/predict.rs"
                 | "crates/vm/src/cpu.rs"
-                | "crates/vm/src/predecode.rs"
                 | "crates/vm/src/console.rs"
                 | "crates/vm/src/audio.rs"
                 | "crates/vm/src/dirty.rs"
@@ -103,7 +102,6 @@ fn hot_alloc_zone(rel: &str) -> bool {
         "crates/sync/src/snapshot.rs"
             | "crates/sync/src/driver.rs"
             | "crates/vm/src/cpu.rs"
-            | "crates/vm/src/predecode.rs"
             | "crates/vm/src/console.rs"
             | "crates/vm/src/audio.rs"
             | "crates/vm/src/dirty.rs"
@@ -194,7 +192,6 @@ mod tests {
         for rel in [
             "crates/vm/src/machine.rs",
             "crates/vm/src/cpu.rs",
-            "crates/vm/src/predecode.rs",
             "crates/games/src/pong.rs",
             "crates/rollback/src/lib.rs",
             "crates/sync/src/driver.rs",
@@ -308,7 +305,6 @@ mod tests {
             "crates/sync/src/snapshot.rs",
             "crates/sync/src/driver.rs",
             "crates/vm/src/cpu.rs",
-            "crates/vm/src/predecode.rs",
             "crates/vm/src/console.rs",
             "crates/vm/src/audio.rs",
             "crates/vm/src/dirty.rs",

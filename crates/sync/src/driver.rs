@@ -53,7 +53,7 @@ use std::collections::BTreeMap;
 use coplay_clock::{SimDelta, SimDuration, SimTime};
 use coplay_net::{PeerId, Transport};
 use coplay_telemetry::{EventKind, SpanStage};
-use coplay_vm::{DirtyPages, InputWord, InterpStats, Machine, StepMode};
+use coplay_vm::{DirtyPages, InputWord, Machine, StepMode};
 
 use crate::config::{ConsistencyMode, SyncConfig, Topology};
 use crate::error::{StopReason, SyncError};
@@ -180,9 +180,6 @@ pub struct Session<M, T, S, P = RepeatLast> {
     restore_buf: Vec<u8>,
     /// Reusable datagram buffer for the per-frame input send path.
     send_buf: Vec<u8>,
-    /// Decode-cache totals already published to telemetry (the report
-    /// event carries deltas against this).
-    interp_reported: InterpStats,
     /// Predicted partials actually fed to the machine, per speculated frame
     /// per remote site — the comparison base for misprediction detection.
     used: BTreeMap<u64, BTreeMap<u8, InputWord>>,
@@ -283,7 +280,6 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
             restore_buf: Vec::new(),
             // detlint: allow(hot_alloc) -- reusable buffer; grows once, then steady-state
             send_buf: Vec::new(),
-            interp_reported: InterpStats::default(),
             // detlint: allow(hot_alloc) -- one-time constructor allocation, not per-frame
             used: BTreeMap::new(),
             // detlint: allow(hot_alloc) -- one-time constructor allocation, not per-frame
@@ -764,26 +760,6 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
         self.cfg
             .telemetry
             .observe("dirty_pages_per_frame", report.dirty_pages as u64);
-        if let Some(stats) = self.machine.interp_stats() {
-            let hits = stats.hits.saturating_sub(self.interp_reported.hits);
-            let misses = stats.misses.saturating_sub(self.interp_reported.misses);
-            let flushes = stats.flushes.saturating_sub(self.interp_reported.flushes);
-            let fused = stats
-                .fused_hits
-                .saturating_sub(self.interp_reported.fused_hits);
-            if hits | misses | flushes | fused != 0 {
-                self.cfg.telemetry.record(
-                    now,
-                    EventKind::DecodeCacheReport {
-                        hits,
-                        misses,
-                        flushes,
-                        fused,
-                    },
-                );
-                self.interp_reported = stats;
-            }
-        }
     }
 
     /// Restores the newest checkpoint at or before the first mispredicted

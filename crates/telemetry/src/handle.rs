@@ -503,19 +503,6 @@ fn derive_metrics(m: &mut MetricsRegistry, kind: &EventKind) {
         EventKind::RelayEvicted { .. } => {
             m.counter_add("relay_members_evicted_total", 1);
         }
-        EventKind::DecodeCacheReport {
-            hits,
-            misses,
-            flushes,
-            fused,
-        } => {
-            // The event carries deltas, so plain counter adds reconstruct
-            // the session totals.
-            m.counter_add("decode_cache_hits_total", hits);
-            m.counter_add("decode_cache_misses_total", misses);
-            m.counter_add("decode_cache_flushes_total", flushes);
-            m.counter_add("decode_cache_fused_total", fused);
-        }
     }
 }
 

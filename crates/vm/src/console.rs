@@ -12,8 +12,7 @@ use crate::dirty::DirtyPages;
 use crate::hash::StateHasher;
 use crate::input::InputWord;
 use crate::isa::Syscall;
-use crate::machine::{Machine, MachineInfo, StateError, StepMode};
-use crate::predecode::{InterpMode, InterpStats};
+use crate::machine::{InterpStats, Machine, MachineInfo, StateError, StepMode};
 use crate::rom::Rom;
 use crate::video::{Color, FrameBuffer};
 
@@ -96,19 +95,6 @@ impl Console {
     pub fn with_cycle_budget(mut self, cycles: u32) -> Console {
         self.cycles_per_frame = cycles.max(1);
         self
-    }
-
-    /// Selects the interpreter loop (default [`InterpMode::Predecoded`]).
-    /// The mode survives [`Machine::reset`] and never affects game state —
-    /// both loops are byte-for-byte equivalent.
-    pub fn with_interp_mode(mut self, mode: InterpMode) -> Console {
-        self.cpu.set_interp_mode(mode);
-        self
-    }
-
-    /// The interpreter loop this board runs.
-    pub fn interp_mode(&self) -> InterpMode {
-        self.cpu.interp_mode()
     }
 
     /// The inserted cartridge.
@@ -245,9 +231,7 @@ impl Machine for Console {
     }
 
     fn reset(&mut self) {
-        let mode = self.cpu.interp_mode();
         self.cpu = Cpu::new(self.rom.entry(), self.rom.seed());
-        self.cpu.set_interp_mode(mode);
         self.cpu.load_image(self.rom.image());
         self.fb = FrameBuffer::standard();
         self.fb.enable_dirty_tracking();
@@ -480,7 +464,7 @@ impl Machine for Console {
     }
 
     fn interp_stats(&self) -> Option<InterpStats> {
-        Some(self.cpu.interp_stats())
+        Some(InterpStats::default())
     }
 }
 

@@ -5,16 +5,12 @@
 //! [`Devices`] trait so the CPU itself stays a pure function of
 //! (state, program, inputs) — the property the whole reproduction rests on.
 //!
-//! Two interpreter loops share the same architectural semantics: the
-//! original per-step decoder (kept as the reference implementation) and a
-//! predecoded-dispatch fast path backed by [`crate::predecode::DecodeCache`],
-//! selected via [`InterpMode`]. Every memory store invalidates the cache
-//! window it overlaps, so self-modifying programs execute byte-for-byte
-//! identically in both modes.
+//! There is one interpreter loop: every step fetches the 4-byte word at
+//! `pc` and decodes it afresh, so self-modifying programs need no special
+//! handling.
 
 use crate::hash::StateHasher;
 use crate::isa::{Instruction, Reg, Syscall, INSTR_SIZE};
-use crate::predecode::{cond, DecodeCache, InterpMode, InterpStats, Op};
 
 /// Size of the address space, in bytes.
 pub const MEM_SIZE: usize = 0x1_0000;
@@ -59,12 +55,10 @@ pub struct Cpu {
     halted: bool,
     faulted: bool,
     mem: Box<[u8; MEM_SIZE]>,
-    mode: InterpMode,
-    cache: DecodeCache,
-    /// One bit per 256-byte page of `mem`, set by every store path
-    /// alongside the decode-cache invalidation. Consumed (and cleared)
-    /// by [`Cpu::take_dirty`]; the snapshot layer uses it to capture and
-    /// restore only pages that may differ from its reference copy.
+    /// One bit per 256-byte page of `mem`, set by every store path.
+    /// Consumed (and cleared) by [`Cpu::take_dirty`]; the snapshot layer
+    /// uses it to capture and restore only pages that may differ from its
+    /// reference copy.
     dirty: [u64; MEM_SIZE / 256 / 64],
 }
 
@@ -100,37 +94,9 @@ impl Cpu {
                 .try_into()
                 // detlint: allow(panic_path) -- boxed slice has exactly MEM_SIZE elements
                 .expect("len"),
-            mode: InterpMode::default(),
-            cache: DecodeCache::new(),
             // A fresh CPU has no reference snapshot to be clean against.
             dirty: [!0u64; MEM_SIZE / 256 / 64],
         }
-    }
-
-    /// Which interpreter loop [`Cpu::run_frame`] uses.
-    pub fn interp_mode(&self) -> InterpMode {
-        self.mode
-    }
-
-    /// Switches interpreter loops. Safe at any point: the decode cache is
-    /// kept coherent by store invalidation regardless of mode, and neither
-    /// loop observes state the other doesn't.
-    pub fn set_interp_mode(&mut self, mode: InterpMode) {
-        self.mode = mode;
-    }
-
-    /// Cumulative decode-cache statistics (zeros while in
-    /// [`InterpMode::Reference`], which never dispatches from the cache).
-    pub fn interp_stats(&self) -> InterpStats {
-        self.cache.stats()
-    }
-
-    /// Enables or disables superinstruction pair fusion in the decode
-    /// cache (on by default). Flushes the cache on change so no stale
-    /// fused slot survives; semantics are identical either way — this
-    /// knob exists so benchmarks can isolate the fusion win.
-    pub fn set_fusion_enabled(&mut self, enabled: bool) {
-        self.cache.set_fusion(enabled);
     }
 
     /// Copies `image` into memory starting at address 0.
@@ -141,7 +107,6 @@ impl Cpu {
     pub fn load_image(&mut self, image: &[u8]) {
         assert!(image.len() <= MEM_SIZE, "image exceeds address space");
         self.mem[..image.len()].copy_from_slice(image);
-        self.cache.flush();
         self.dirty = [!0u64; MEM_SIZE / 256 / 64];
     }
 
@@ -175,11 +140,9 @@ impl Cpu {
         self.mem[addr as usize]
     }
 
-    /// Writes a byte of memory, re-colding any decode-cache slot whose
-    /// fetch window covers the written byte.
+    /// Writes a byte of memory.
     pub fn write_byte(&mut self, addr: u16, v: u8) {
         self.mem[addr as usize] = v;
-        self.cache.invalidate(addr, 1);
         self.dirty[(addr >> 14) as usize] |= 1u64 << ((addr >> 8) & 63);
     }
 
@@ -191,13 +154,11 @@ impl Cpu {
         lo | (hi << 8)
     }
 
-    /// Writes a little-endian word with wrapping semantics, re-colding any
-    /// decode-cache slot whose fetch window covers either written byte.
+    /// Writes a little-endian word with wrapping semantics.
     pub fn write_word(&mut self, addr: u16, v: u16) {
         self.mem[addr as usize] = v as u8;
         let hi = addr.wrapping_add(1);
         self.mem[hi as usize] = (v >> 8) as u8;
-        self.cache.invalidate(addr, 2);
         self.dirty[(addr >> 14) as usize] |= 1u64 << ((addr >> 8) & 63);
         self.dirty[(hi >> 14) as usize] |= 1u64 << ((hi >> 8) & 63);
     }
@@ -208,15 +169,6 @@ impl Cpu {
         if self.halted {
             return (Stop::Halted, 0);
         }
-        match self.mode {
-            InterpMode::Predecoded => self.run_frame_fast(budget, dev),
-            InterpMode::Reference => self.run_frame_reference(budget, dev),
-        }
-    }
-
-    /// The original per-step decode loop, kept as the reference
-    /// implementation the fast path is differentially tested against.
-    fn run_frame_reference<D: Devices>(&mut self, budget: u32, dev: &mut D) -> (Stop, u32) {
         let mut cycles = 0;
         while cycles < budget {
             cycles += 1;
@@ -226,211 +178,6 @@ impl Cpu {
             }
         }
         (Stop::BudgetExhausted, cycles)
-    }
-
-    /// Predecoded-dispatch loop: resolves each `pc` through the decode
-    /// cache (filling cold slots once) and executes from pre-split
-    /// operands. Fused superinstruction slots retire two instructions
-    /// (and two cycles) from a single dispatch. Cycle accounting is
-    /// batched — the dispatch counters are folded into the cache
-    /// statistics once per frame, not per step.
-    ///
-    /// Semantics are bit-identical to [`Cpu::step`]; in particular an
-    /// illegal slot faults *before* the pc advance, exactly like a decode
-    /// failure on the reference path, and a fused slot met with only one
-    /// cycle of budget left retires exactly one instruction via the
-    /// reference stepper so budget-edge frames stay equivalent too.
-    fn run_frame_fast<D: Devices>(&mut self, budget: u32, dev: &mut D) -> (Stop, u32) {
-        let mut cycles: u32 = 0;
-        let mut fused_pairs: u64 = 0;
-        let stop = loop {
-            if cycles >= budget {
-                break Stop::BudgetExhausted;
-            }
-
-            let at = self.pc;
-            let mut op = self.cache.op(at);
-            if op == Op::Cold {
-                op = self.cache.fill(at, &self.mem);
-            }
-            if op == Op::Illegal {
-                cycles += 1;
-                self.halted = true;
-                self.faulted = true;
-                break Stop::Faulted;
-            }
-            let fused = op.is_fused();
-            if fused && budget - cycles < 2 {
-                cycles += 1;
-                match self.step(dev) {
-                    Stop::BudgetExhausted => continue, // means "keep running"
-                    stop => break stop,
-                }
-            }
-            cycles += 1 + fused as u32;
-            fused_pairs += fused as u64;
-            let args = self.cache.args(at);
-            self.pc = at.wrapping_add(if fused { 2 * INSTR_SIZE } else { INSTR_SIZE });
-            // Decode guaranteed register indices < 16; the mask lets the
-            // compiler drop the bounds checks.
-            let a = args.a as usize & 15;
-            let b = args.b as usize & 15;
-            let c = args.c as usize & 15;
-            let imm = args.imm;
-            let imm2 = args.imm2;
-
-            match op {
-                // detlint: allow(panic_path) -- both ops take the cold/illegal early exit above
-                Op::Cold | Op::Illegal => unreachable!("handled above"),
-                Op::Nop => {}
-                Op::Halt => {
-                    self.halted = true;
-                    break Stop::Halted;
-                }
-                Op::Yield => break Stop::Yielded,
-                Op::Ldi => self.regs[a] = imm,
-                Op::Mov => self.regs[a] = self.regs[b],
-                Op::Add => self.regs[a] = self.regs[a].wrapping_add(self.regs[b]),
-                Op::Sub => self.regs[a] = self.regs[a].wrapping_sub(self.regs[b]),
-                Op::Mul => self.regs[a] = self.regs[a].wrapping_mul(self.regs[b]),
-                Op::Div => self.regs[a] = self.regs[a].checked_div(self.regs[b]).unwrap_or(0xFFFF),
-                Op::Modu => self.regs[a] = self.regs[a].checked_rem(self.regs[b]).unwrap_or(0),
-                Op::And => self.regs[a] &= self.regs[b],
-                Op::Or => self.regs[a] |= self.regs[b],
-                Op::Xor => self.regs[a] ^= self.regs[b],
-                Op::Shli => self.regs[a] <<= imm & 15,
-                Op::Shri => self.regs[a] >>= imm & 15,
-                Op::Addi => self.regs[a] = self.regs[a].wrapping_add(imm),
-                Op::Subi => self.regs[a] = self.regs[a].wrapping_sub(imm),
-                Op::Neg => self.regs[a] = (self.regs[a] as i16).wrapping_neg() as u16,
-                Op::Cmp => self.set_flags(self.regs[a], self.regs[b]),
-                Op::Cmpi => self.set_flags(self.regs[a], imm),
-                Op::Jmp => self.pc = imm,
-                Op::Jz => {
-                    if self.flag_z {
-                        self.pc = imm;
-                    }
-                }
-                Op::Jnz => {
-                    if !self.flag_z {
-                        self.pc = imm;
-                    }
-                }
-                Op::Jlt => {
-                    if self.flag_n {
-                        self.pc = imm;
-                    }
-                }
-                Op::Jge => {
-                    if !self.flag_n {
-                        self.pc = imm;
-                    }
-                }
-                Op::Call => {
-                    self.push(self.pc);
-                    self.pc = imm;
-                }
-                Op::Ret => self.pc = self.pop(),
-                Op::Ldw => {
-                    let addr = self.regs[b].wrapping_add(imm);
-                    self.regs[a] = self.read_word(addr);
-                }
-                Op::Stw => {
-                    let addr = self.regs[a].wrapping_add(imm);
-                    self.write_word(addr, self.regs[b]);
-                }
-                Op::Ldb => {
-                    let addr = self.regs[b].wrapping_add(imm);
-                    self.regs[a] = self.read_byte(addr) as u16;
-                }
-                Op::Stb => {
-                    let addr = self.regs[a].wrapping_add(imm);
-                    self.write_byte(addr, self.regs[b] as u8);
-                }
-                Op::Push => self.push(self.regs[a]),
-                Op::Pop => {
-                    let v = self.pop();
-                    self.regs[a] = v;
-                }
-                Op::In => self.regs[a] = dev.input_port(args.b),
-                Op::Rnd => {
-                    self.lcg = self.lcg.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                    self.regs[a] = (self.lcg >> 16) as u16;
-                }
-                Op::Sys => {
-                    // detlint: allow(panic_path) -- predecode only caches Op::Sys for valid syscall ids
-                    let call = Syscall::from_u8(args.a).expect("cached syscall is valid");
-                    dev.syscall(call, &self.regs);
-                }
-                // Fused superinstructions: both constituents execute in
-                // their original order from hoisted operands, so every
-                // architectural effect (flags, memory, device calls)
-                // lands exactly as two reference steps would.
-                Op::LdiLdi => {
-                    self.regs[a] = imm;
-                    self.regs[c] = imm2;
-                }
-                Op::LdiLdw => {
-                    self.regs[a] = imm;
-                    let addr = self.regs[c].wrapping_add(imm2);
-                    self.regs[b] = self.read_word(addr);
-                }
-                Op::LdwLdi => {
-                    let addr = self.regs[b].wrapping_add(imm);
-                    self.regs[a] = self.read_word(addr);
-                    self.regs[c] = imm2;
-                }
-                Op::LdiSys => {
-                    self.regs[a] = imm;
-                    // detlint: allow(panic_path) -- predecode only fuses valid syscall ids
-                    let call = Syscall::from_u8(args.c).expect("cached syscall is valid");
-                    dev.syscall(call, &self.regs);
-                }
-                Op::SysLdi => {
-                    // detlint: allow(panic_path) -- predecode only fuses valid syscall ids
-                    let call = Syscall::from_u8(args.a).expect("cached syscall is valid");
-                    dev.syscall(call, &self.regs);
-                    self.regs[c] = imm2;
-                }
-                Op::AndCmpi => {
-                    self.regs[a] &= self.regs[b];
-                    self.set_flags(self.regs[c], imm2);
-                }
-                Op::CmpiJcc => {
-                    self.set_flags(self.regs[a], imm);
-                    let take = match args.c {
-                        cond::JZ => self.flag_z,
-                        cond::JNZ => !self.flag_z,
-                        cond::JLT => self.flag_n,
-                        _ => !self.flag_n, // cond::JGE
-                    };
-                    if take {
-                        self.pc = imm2;
-                    }
-                }
-                Op::LdiAnd => {
-                    self.regs[a] = imm;
-                    self.regs[b] &= self.regs[c];
-                }
-                Op::MovLdi => {
-                    self.regs[a] = self.regs[b];
-                    self.regs[c] = imm2;
-                }
-                Op::LdwCmpi => {
-                    let addr = self.regs[b].wrapping_add(imm);
-                    self.regs[a] = self.read_word(addr);
-                    self.set_flags(self.regs[c], imm2);
-                }
-                Op::LdiStw => {
-                    self.regs[a] = imm;
-                    let addr = self.regs[b].wrapping_add(imm2);
-                    self.write_word(addr, self.regs[c]);
-                }
-            }
-        };
-        self.cache.note_dispatches(cycles as u64);
-        self.cache.note_fused(fused_pairs);
-        (stop, cycles)
     }
 
     /// Executes one instruction. Returns [`Stop::BudgetExhausted`] as the
@@ -662,36 +409,20 @@ impl Cpu {
     /// Restores the full memory image from `src` (at least [`MEM_SIZE`]
     /// bytes, serialized-format order).
     ///
-    /// Diff-based: a rollback reload typically differs
-    /// from current memory in a handful of bytes, so copy + invalidate
-    /// only blocks that differ. Unchanged blocks keep their warm decode
-    /// cache slots, which is what keeps repeated restores on the repair
-    /// path cheap. The diff is two-level — 4 KiB super-blocks compared
-    /// with one wide memcmp each, and only a differing super-block is
-    /// re-scanned at 64-byte granularity — because a flat 64-byte scan
-    /// costs a thousand tiny comparisons on the all-equal fast path
-    /// that dominates real restores. The invalidation window reaches
-    /// 2*INSTR_SIZE-1 bytes behind each changed block, so a fused slot
-    /// starting in the tail of an unchanged block whose second word
-    /// lies in the changed one is re-colded too — no whole-table flush
-    /// is ever needed. Either way memory ends up byte-identical to the
-    /// snapshot.
+    /// Compares memory one dirty-bitmap page (256 B) at a time and copies
+    /// and marks only the pages that differ: a rollback reload typically
+    /// changes a handful of pages, and comparing is cheaper than
+    /// rewriting all 64 KiB.
     pub(crate) fn restore_mem_full(&mut self, src: &[u8]) {
-        const SUPER: usize = 4096;
-        const BLOCK: usize = 64;
-        let src = &src[..MEM_SIZE];
-        for (s, sup) in src.chunks_exact(SUPER).enumerate() {
-            let s_at = s * SUPER;
-            if self.mem[s_at..s_at + SUPER] == *sup {
-                continue;
-            }
-            for (i, block) in sup.chunks_exact(BLOCK).enumerate() {
-                let at = s_at + i * BLOCK;
-                if self.mem[at..at + BLOCK] != *block {
-                    self.mem[at..at + BLOCK].copy_from_slice(block);
-                    self.cache.invalidate(at as u16, BLOCK as u16);
-                    self.dirty[at >> 14] |= 1u64 << ((at >> 8) & 63);
-                }
+        const PAGE: usize = crate::dirty::PAGE_SIZE;
+        let pages = self
+            .mem
+            .chunks_exact_mut(PAGE)
+            .zip(src[..MEM_SIZE].chunks_exact(PAGE));
+        for (page, (live, target)) in pages.enumerate() {
+            if live != target {
+                live.copy_from_slice(target);
+                self.dirty[page >> 6] |= 1u64 << (page & 63);
             }
         }
     }
@@ -729,29 +460,15 @@ impl Cpu {
     }
 
     /// Restores memory bytes `[start, end)` from `src` (a full
-    /// memory-image slice, serialized-format order), extending the window
-    /// to 64-byte block boundaries. Only blocks that actually differ are
-    /// copied and decode-cache invalidated — equal blocks keep their warm
-    /// slots — but the *whole* window is re-marked dirty: the caller's
-    /// reference snapshot may hold different bytes there even where the
-    /// live machine and the restore target agree.
+    /// memory-image slice, serialized-format order) and marks the window
+    /// dirty: the caller's reference snapshot may hold different bytes
+    /// there even where the live machine and the restore target agree.
     pub(crate) fn restore_mem_range(&mut self, src: &[u8], start: usize, end: usize) {
-        const BLOCK: usize = 64;
-        let limit = src.len().min(MEM_SIZE);
-        let start = (start / BLOCK) * BLOCK;
-        let end = end.div_ceil(BLOCK).saturating_mul(BLOCK).min(limit);
+        let end = end.min(src.len()).min(MEM_SIZE);
         if start >= end {
             return;
         }
-        let mut at = start;
-        while at < end {
-            let stop = (at + BLOCK).min(end);
-            if self.mem[at..stop] != src[at..stop] {
-                self.mem[at..stop].copy_from_slice(&src[at..stop]);
-                self.cache.invalidate(at as u16, (stop - at) as u16);
-            }
-            at = stop;
-        }
+        self.mem[start..end].copy_from_slice(&src[start..end]);
         self.mark_mem_range(start, end);
     }
 }
@@ -1041,158 +758,21 @@ mod tests {
         assert!(cpu.deserialize(&[0; 10]).is_none());
     }
 
-    /// Runs the same program in both interpreter modes and asserts the
-    /// serialized machine state matches after every frame.
-    fn assert_modes_equivalent(image: &[u8], frames: usize, budget: u32) {
-        let mut fast = Cpu::new(0, 42);
-        fast.load_image(image);
-        let mut slow = Cpu::new(0, 42);
-        slow.load_image(image);
-        slow.set_interp_mode(InterpMode::Reference);
-        let mut dev_f = TestDev::default();
-        let mut dev_s = TestDev::default();
-        for frame in 0..frames {
-            let rf = fast.run_frame(budget, &mut dev_f);
-            let rs = slow.run_frame(budget, &mut dev_s);
-            assert_eq!(rf, rs, "stop/cycles diverged at frame {frame}");
-            let mut bf = Vec::new();
-            let mut bs = Vec::new();
-            fast.serialize(&mut bf);
-            slow.serialize(&mut bs);
-            assert_eq!(bf, bs, "state diverged at frame {frame}");
-        }
-    }
-
     #[test]
-    fn fast_path_matches_reference_on_straightline_code() {
-        let image = assemble(&[
-            I::Ldi(Reg(0), 7),
-            I::Rnd(Reg(1)),
-            I::Push(Reg(0)),
-            I::Pop(Reg(2)),
-            I::Cmpi(Reg(2), 7),
-            I::Jz(7 * 4),
-            I::Halt,
-            I::Addi(Reg(3), 1),
-            I::Yield,
-            I::Jmp(4),
-        ]);
-        assert_modes_equivalent(&image, 10, 1_000);
-    }
-
-    #[test]
-    fn fast_path_matches_reference_on_fault() {
-        // A few legal instructions, then garbage: both modes must fault at
-        // the same pc without advancing past it.
-        let mut image = assemble(&[I::Addi(Reg(0), 1), I::Addi(Reg(0), 1)]);
-        image.extend_from_slice(&[0xFF, 0, 0, 0]);
-        assert_modes_equivalent(&image, 3, 1_000);
-    }
-
-    #[test]
-    fn fast_path_matches_reference_under_self_modification() {
-        // Stores r4 into the immediate low byte of the `ldi r1` at 0x10
-        // (its imm bytes live at 0x12..0x14; little-endian low byte at
-        // 0x12), so the warm slot at 0x10 must be re-decoded every pass.
-        let image = assemble(&[
-            I::Addi(Reg(4), 1),        // 0x00
-            I::Ldi(Reg(3), 0x12),      // 0x04
-            I::Stb(Reg(3), Reg(4), 0), // 0x08
-            I::Nop,                    // 0x0C
-            I::Ldi(Reg(1), 0xAA00),    // 0x10 — patched each pass
-            I::Yield,                  // 0x14
-            I::Jmp(0),                 // 0x18
-        ]);
-        assert_modes_equivalent(&image, 20, 1_000);
-
-        // And the patch is actually observed: after N frames the fast
-        // path's r1 reflects the most recent store, not the cached decode.
+    fn deserialize_copies_and_marks_only_changed_pages() {
         let mut cpu = Cpu::new(0, 0);
-        cpu.load_image(&image);
-        let mut dev = TestDev::default();
-        for _ in 0..5 {
-            cpu.run_frame(1_000, &mut dev);
-        }
-        assert_eq!(cpu.reg(Reg(1)), 0xAA05);
-        let stats = cpu.interp_stats();
-        assert!(stats.invalidations >= 5, "stores must invalidate");
-        assert!(stats.misses > stats.flushes, "patched slot re-decodes");
-    }
-
-    #[test]
-    fn budget_exhaustion_matches_across_modes() {
-        let image = assemble(&[I::Addi(Reg(0), 1), I::Jmp(0)]);
-        assert_modes_equivalent(&image, 4, 50);
-    }
-
-    #[test]
-    fn fused_pairs_match_reference_and_are_counted() {
-        let image = assemble(&[
-            I::Ldi(Reg(0), 3), // fuses with the next ldi
-            I::Ldi(Reg(1), 4),
-            I::Mov(Reg(2), Reg(0)), // fuses with the next ldi
-            I::Ldi(Reg(3), 9),
-            I::Cmpi(Reg(3), 9), // fuses with the jz
-            I::Jz(7 * 4),
-            I::Halt, // skipped by the taken branch
-            I::Yield,
-            I::Jmp(0),
-        ]);
-        assert_modes_equivalent(&image, 6, 1_000);
-
-        let mut cpu = Cpu::new(0, 0);
-        cpu.load_image(&image);
-        let mut dev = TestDev::default();
-        for _ in 0..4 {
-            cpu.run_frame(1_000, &mut dev);
-        }
-        let s = cpu.interp_stats();
-        // Three fused pairs per frame over four frames.
-        assert_eq!(s.fused_hits, 12, "{s:?}");
-        assert!(s.fusion_rate_milli() >= 500, "{s:?}");
-    }
-
-    #[test]
-    fn fused_pair_at_budget_edge_matches_reference() {
-        // With an odd budget the loop meets the fused ldi+ldi slot with
-        // one cycle left and must retire exactly one instruction, like
-        // the reference stepper would.
-        let image = assemble(&[
-            I::Ldi(Reg(0), 1),
-            I::Ldi(Reg(1), 2),
-            I::Addi(Reg(2), 1),
-            I::Jmp(0),
-        ]);
-        for budget in 1..=9 {
-            assert_modes_equivalent(&image, 3, budget);
-        }
-    }
-
-    #[test]
-    fn fast_path_matches_reference_when_store_patches_a_fused_tail() {
-        // The ldi pair at 0x10/0x14 fuses; each pass stores r4 into the
-        // *tail* ldi's immediate low byte (0x16), six bytes past the
-        // fused slot's start — only the widened invalidation window
-        // re-colds it, so this pins the straddle case.
-        let image = assemble(&[
-            I::Addi(Reg(4), 1),        // 0x00
-            I::Ldi(Reg(3), 0x16),      // 0x04
-            I::Stb(Reg(3), Reg(4), 0), // 0x08
-            I::Nop,                    // 0x0C
-            I::Ldi(Reg(1), 0x1100),    // 0x10 — fused head
-            I::Ldi(Reg(2), 0xAA00),    // 0x14 — fused tail, patched
-            I::Yield,                  // 0x18
-            I::Jmp(0),                 // 0x1C
-        ]);
-        assert_modes_equivalent(&image, 20, 1_000);
-
-        let mut cpu = Cpu::new(0, 0);
-        cpu.load_image(&image);
-        let mut dev = TestDev::default();
-        for _ in 0..5 {
-            cpu.run_frame(1_000, &mut dev);
-        }
-        assert_eq!(cpu.reg(Reg(2)), 0xAA05, "fused tail must observe patches");
+        let mut bytes = Vec::new();
+        cpu.serialize(&mut bytes);
+        bytes[Cpu::SMALL_LEN + 0x1234] = 0x5A;
+        bytes[Cpu::SMALL_LEN + 0xFFFF] = 0xA5;
+        cpu.take_dirty();
+        cpu.deserialize(&bytes).unwrap();
+        let dirty = cpu.take_dirty();
+        let marked: Vec<usize> = (0..MEM_SIZE / 256)
+            .filter(|&p| dirty[p >> 6] & (1u64 << (p & 63)) != 0)
+            .collect();
+        assert_eq!(marked, [0x12, 0xFF]);
+        assert_eq!(cpu.mem_bytes(), &bytes[Cpu::SMALL_LEN..]);
     }
 
     #[test]
@@ -1207,27 +787,5 @@ mod tests {
         let mut h = StateHasher::new();
         cpu.hash_state(&mut h);
         assert_eq!(h.finish(), crate::hash::fnv1a(&bytes));
-    }
-
-    #[test]
-    fn interp_stats_accumulate_on_fast_path_only() {
-        let image = assemble(&[I::Addi(Reg(0), 1), I::Yield, I::Jmp(0)]);
-        let mut fast = Cpu::new(0, 0);
-        fast.load_image(&image);
-        let mut dev = TestDev::default();
-        fast.run_frame(100, &mut dev);
-        fast.run_frame(100, &mut dev);
-        let s = fast.interp_stats();
-        // Frame 1: 2 cold fills + jmp fill, frame 2 re-dispatches warm.
-        assert_eq!(s.misses, 3);
-        assert!(s.hits >= 2);
-        assert_eq!(s.flushes, 1, "load_image flushes");
-
-        let mut slow = Cpu::new(0, 0);
-        slow.load_image(&image);
-        slow.set_interp_mode(InterpMode::Reference);
-        slow.run_frame(100, &mut dev);
-        let s = slow.interp_stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
     }
 }

@@ -56,7 +56,6 @@ mod hash;
 mod input;
 mod isa;
 mod machine;
-mod predecode;
 mod rom;
 mod video;
 
@@ -68,7 +67,6 @@ pub use dirty::{DirtyPages, DirtyRanges, PAGE_SIZE as DIRTY_PAGE_SIZE};
 pub use hash::{fnv1a, StateHasher};
 pub use input::{Button, InputWord, Player, PortMap};
 pub use isa::{Instruction, Reg, Syscall, INSTR_SIZE};
-pub use machine::{Machine, MachineInfo, NullMachine, StateError, StepMode};
-pub use predecode::{InterpMode, InterpStats};
+pub use machine::{InterpStats, Machine, MachineInfo, NullMachine, StateError, StepMode};
 pub use rom::{Rom, RomBuilder, RomError};
 pub use video::{Color, FrameBuffer, HEIGHT, PALETTE, WIDTH};

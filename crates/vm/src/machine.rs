@@ -12,8 +12,25 @@ use std::fmt;
 
 use crate::dirty::DirtyPages;
 use crate::input::InputWord;
-use crate::predecode::InterpStats;
 use crate::video::FrameBuffer;
+
+/// Interpreter dispatch counters, kept only so callers that already read
+/// them keep compiling.
+///
+/// The console has a single fetch–decode–execute loop with no decode
+/// cache, so [`crate::Console`] reports all zeros. The type and
+/// [`Machine::interp_stats`] stay because the wall-clock benchmark
+/// package implements and reads them (its `vm.decode_hit_ratio` and
+/// `vm.fusion_ratio` rows); they go once that package stops doing so.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InterpStats {
+    /// Instructions dispatched from a warm decode-cache slot.
+    pub hits: u64,
+    /// Instructions that needed a fresh decode.
+    pub misses: u64,
+    /// Fused-pair dispatches, each retiring two instructions.
+    pub fused_hits: u64,
+}
 
 /// Static facts about a machine (the "ROM header").
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,10 +295,9 @@ pub trait Machine {
         self.load_state(bytes)
     }
 
-    /// Cumulative interpreter decode-cache statistics, for machines that
-    /// run on a predecoded-dispatch interpreter (the [`crate::Console`]).
-    /// Observability only — never part of the state hash. `None` for
-    /// machines without an interpreter cache.
+    /// Interpreter dispatch counters (see [`InterpStats`]). Observability
+    /// only — never part of the state hash. `None` for machines without an
+    /// interpreter.
     fn interp_stats(&self) -> Option<InterpStats> {
         None
     }

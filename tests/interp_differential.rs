@@ -1,18 +1,16 @@
-//! Differential golden-hash tests for the predecoded-dispatch interpreter.
+//! Behaviour pins for the console's interpreter.
 //!
-//! The fast path is only allowed to exist because it is byte-for-byte
-//! equivalent to the reference fetch–decode–execute loop. These tests pin
-//! that equivalence where it matters: every bundled ROM game, frame by
-//! frame, including through a forced rollback/resimulate, plus a
-//! self-modifying program that would expose any stale decode-cache slot.
+//! The console has one fetch–decode–execute loop. These tests pin what it
+//! must keep doing: every ROM's per-frame hash timeline (recorded in
+//! `tests/golden/rom_hash_golden.txt`), rollback restores that land on
+//! exactly the right state, presented and headless stepping that agree,
+//! self-modifying code that sees its own patches, and dirty-page capture
+//! and restore that match a full-image scan.
 
 use coplay_games::{rom_pong_console, rom_race_console};
 use coplay_vm::{
-    Console, InputWord, Instruction, InterpMode, Machine, Reg, Rom, StepMode,
-    DEFAULT_CYCLES_PER_FRAME,
+    Console, InputWord, Instruction, Machine, Reg, Rom, StepMode, DEFAULT_CYCLES_PER_FRAME,
 };
-
-const FRAMES: u64 = 120;
 
 type MakeConsole = fn() -> Console;
 
@@ -23,149 +21,75 @@ fn input_for(frame: u64) -> InputWord {
     InputWord((z as u32) & 0x0F0F)
 }
 
-fn pairs() -> Vec<(&'static str, Console, Console)> {
-    vec![
-        (
-            "ROM Pong",
-            rom_pong_console(),
-            rom_pong_console().with_interp_mode(InterpMode::Reference),
-        ),
-        (
-            "Button Race",
-            rom_race_console(),
-            rom_race_console().with_interp_mode(InterpMode::Reference),
-        ),
-    ]
-}
+const ROM_GAMES: [(&str, MakeConsole); 2] = [
+    ("ROM Pong", rom_pong_console as MakeConsole),
+    ("Button Race", rom_race_console as MakeConsole),
+];
 
+/// A restore after mispredicted frames, then resimulation with the
+/// corrected inputs, retraces the hash timeline of a console that only
+/// ever saw the corrected inputs.
 #[test]
-fn every_rom_game_hashes_identically_with_cache_on_and_off() {
-    for (name, mut fast, mut slow) in pairs() {
-        assert_eq!(fast.interp_mode(), InterpMode::Predecoded);
-        assert_eq!(slow.interp_mode(), InterpMode::Reference);
-        for frame in 0..FRAMES {
-            let input = input_for(frame);
-            fast.step_frame(input);
-            slow.step_frame(input);
-            assert_eq!(
-                fast.state_hash(),
-                slow.state_hash(),
-                "{name}: state diverged at frame {frame}"
-            );
-        }
-        let stats = fast.interp_stats().expect("console reports stats");
-        assert!(
-            stats.hits > stats.misses,
-            "{name}: a real game must run mostly warm (hits {} misses {})",
-            stats.hits,
-            stats.misses
-        );
-    }
-}
-
-#[test]
-fn rollback_resimulation_hashes_identically_with_cache_on_and_off() {
-    for (name, mut fast, mut slow) in pairs() {
-        // Run to a checkpoint, snapshot both replicas.
+fn rollback_resimulation_retraces_a_straight_run() {
+    for (name, build) in ROM_GAMES {
+        let mut rolled = build();
+        let mut straight = build();
         for frame in 0..40 {
-            let input = input_for(frame);
-            fast.step_frame(input);
-            slow.step_frame(input);
+            rolled.step_frame(input_for(frame));
+            straight.step_frame(input_for(frame));
         }
-        let snap_fast = fast.save_state();
-        let snap_slow = slow.save_state();
-        assert_eq!(snap_fast, snap_slow, "{name}: snapshots must be identical");
+        let snap = rolled.save_state();
 
-        // Speculate ahead on one input stream (the misprediction branch)...
+        // Speculate ahead on the wrong input stream...
         for frame in 40..60 {
-            let input = input_for(frame * 7 + 1);
-            fast.step_frame(input);
-            slow.step_frame(input);
+            rolled.step_frame(input_for(frame * 7 + 1));
         }
+        assert_ne!(
+            rolled.state_hash(),
+            straight.state_hash(),
+            "{name}: the mispredicted frames must change the state"
+        );
 
-        // ...then roll both back and resimulate with the corrected inputs,
-        // exactly what RollbackSession::perform_rollback does.
-        fast.load_state(&snap_fast).unwrap();
-        slow.load_state(&snap_slow).unwrap();
+        // ...then roll back and resimulate with the corrected inputs,
+        // exactly what a rollback session's repair does.
+        rolled.load_state(&snap).unwrap();
         assert_eq!(
-            fast.state_hash(),
-            slow.state_hash(),
+            rolled.state_hash(),
+            straight.state_hash(),
             "{name}: hashes diverged right after restore"
         );
         for frame in 40..80 {
             let input = input_for(frame);
-            fast.step_frame(input);
-            slow.step_frame(input);
+            rolled.step_frame(input);
+            straight.step_frame(input);
             assert_eq!(
-                fast.state_hash(),
-                slow.state_hash(),
+                rolled.state_hash(),
+                straight.state_hash(),
                 "{name}: resimulation diverged at frame {frame}"
             );
         }
-
-        let stats = fast.interp_stats().expect("console reports stats");
-        assert!(
-            stats.flushes >= 1,
-            "{name}: the image load must flush (saw {})",
-            stats.flushes
-        );
-        assert!(
-            stats.invalidations > 0,
-            "{name}: the restore must invalidate slots covering changed memory"
-        );
     }
 }
 
-/// The full interpreter × stepping matrix. Every combination of
-/// {Predecoded, Reference} × {Present, Headless} must hold the same
-/// core state hash on every frame — including through a forced
-/// rollback/restore — because headless stepping only skips *rendering*
-/// side effects, never architectural ones.
+/// Presented and headless stepping must hold the same core state hash on
+/// every frame — including through a forced rollback/restore — because
+/// headless stepping only skips *rendering* side effects, never
+/// architectural ones.
 #[test]
 fn interp_and_step_mode_matrix_stays_hash_identical_through_rollback() {
-    let builds: [(&str, MakeConsole); 2] = [
-        ("ROM Pong", rom_pong_console as MakeConsole),
-        ("Button Race", rom_race_console as MakeConsole),
-    ];
-    for (name, build) in builds {
-        // Index 0 is the oracle: reference interpreter, presented frames.
-        let mut lanes: Vec<(String, Console, StepMode)> = vec![
-            (
-                format!("{name}/Reference/Present"),
-                build().with_interp_mode(InterpMode::Reference),
-                StepMode::Present,
-            ),
-            (
-                format!("{name}/Reference/Headless"),
-                build().with_interp_mode(InterpMode::Reference),
-                StepMode::Headless,
-            ),
-            (
-                format!("{name}/Predecoded/Present"),
-                build(),
-                StepMode::Present,
-            ),
-            (
-                format!("{name}/Predecoded/Headless"),
-                build(),
-                StepMode::Headless,
-            ),
-        ];
-
-        let check = |lanes: &[(String, Console, StepMode)], frame: u64| {
-            let oracle = lanes[0].1.state_hash();
-            for (label, console, _) in &lanes[1..] {
-                assert_eq!(
-                    console.state_hash(),
-                    oracle,
-                    "{label}: diverged from the oracle at frame {frame}"
-                );
-            }
+    for (name, build) in ROM_GAMES {
+        let mut lanes = [(build(), StepMode::Present), (build(), StepMode::Headless)];
+        let check = |lanes: &[(Console, StepMode); 2], frame: u64| {
+            assert_eq!(
+                lanes[1].0.state_hash(),
+                lanes[0].0.state_hash(),
+                "{name}: headless diverged from presented at frame {frame}"
+            );
         };
 
         for frame in 0..60 {
             let input = input_for(frame);
-            for (_, console, mode) in lanes.iter_mut() {
+            for (console, mode) in lanes.iter_mut() {
                 console.step_frame_mode(input, *mode);
             }
             check(&lanes, frame);
@@ -174,22 +98,22 @@ fn interp_and_step_mode_matrix_stays_hash_identical_through_rollback() {
         // Forced rollback: snapshot, speculate on wrong inputs, restore,
         // resimulate corrected — exactly what a repair pass does, with the
         // repair frames themselves stepped in each lane's own mode.
-        let snaps: Vec<Vec<u8>> = lanes.iter().map(|(_, c, _)| c.save_state()).collect();
+        let snaps = lanes.each_ref().map(|(c, _)| c.save_state());
         for frame in 60..75 {
             let input = input_for(frame * 13 + 5);
-            for (_, console, mode) in lanes.iter_mut() {
+            for (console, mode) in lanes.iter_mut() {
                 console.step_frame_mode(input, *mode);
             }
         }
-        for ((label, console, _), snap) in lanes.iter_mut().zip(&snaps) {
+        for ((console, mode), snap) in lanes.iter_mut().zip(&snaps) {
             console
                 .load_state(snap)
-                .unwrap_or_else(|e| panic!("{label}: restore failed: {e}"));
+                .unwrap_or_else(|e| panic!("{name}/{mode:?}: restore failed: {e}"));
         }
         check(&lanes, 60);
         for frame in 60..90 {
             let input = input_for(frame);
-            for (_, console, mode) in lanes.iter_mut() {
+            for (console, mode) in lanes.iter_mut() {
                 console.step_frame_mode(input, *mode);
             }
             check(&lanes, frame);
@@ -202,10 +126,7 @@ fn interp_and_step_mode_matrix_stays_hash_identical_through_rollback() {
 /// audio, and state byte-identical to an all-present run.
 #[test]
 fn headless_then_present_matches_an_all_present_run_exactly() {
-    for (name, build) in [
-        ("ROM Pong", rom_pong_console as MakeConsole),
-        ("Button Race", rom_race_console as MakeConsole),
-    ] {
+    for (name, build) in ROM_GAMES {
         let mut repaired = build();
         let mut presented = build();
         const N: u64 = 48;
@@ -239,8 +160,7 @@ fn headless_then_present_matches_an_all_present_run_exactly() {
 }
 
 /// A program that patches its own instruction stream every frame: it
-/// stores the frame counter into the immediate of a later `ldi`, so a
-/// cached decode of that slot goes stale the moment it is overwritten.
+/// stores the frame counter into the immediate of a later `ldi`.
 fn smc_rom() -> Rom {
     let program: Vec<u8> = [
         Instruction::In(Reg(4), 2),          // 0x00: r4 = frame counter low
@@ -257,55 +177,18 @@ fn smc_rom() -> Rom {
     Rom::builder("SMC Probe").image(program).build()
 }
 
-#[test]
-fn self_modifying_code_invalidates_precisely_and_stays_equivalent() {
-    let mut fast = Console::new(smc_rom()).with_cycle_budget(DEFAULT_CYCLES_PER_FRAME);
-    let mut slow = Console::new(smc_rom()).with_interp_mode(InterpMode::Reference);
-
-    for frame in 0..200u64 {
-        fast.step_frame(InputWord::NONE);
-        slow.step_frame(InputWord::NONE);
-        assert_eq!(
-            fast.state_hash(),
-            slow.state_hash(),
-            "state diverged at frame {frame}"
-        );
-        // The patched `ldi` must load the freshly stored byte, proving the
-        // warm slot was re-decoded, not replayed: on frame f the program
-        // reads frame counter f and executes `ldi r1, 0xAA00 | (f & 0xFF)`.
-        let expect = 0xAA00 | (frame as u16 & 0x00FF);
-        assert_eq!(fast.cpu().reg(Reg(1)), expect, "frame {frame}");
-        assert_eq!(slow.cpu().reg(Reg(1)), expect, "frame {frame}");
-    }
-
-    let stats = fast.interp_stats().expect("console reports stats");
-    assert!(
-        stats.invalidations >= 200,
-        "each frame's store must invalidate (saw {})",
-        stats.invalidations
-    );
-    // The patched slot re-decodes every frame, so misses keep growing well
-    // past the program's static instruction count.
-    assert!(
-        stats.misses >= 200,
-        "stale slots must re-decode (saw {} misses)",
-        stats.misses
-    );
-}
-
-/// A self-modifying program whose store lands inside the *tail* of a
-/// fused `ldi`+`ldi` pair. The fused slot lives at the head address, a
-/// full instruction before the patched byte, so only the widened
-/// (pair-aware) invalidation window catches it.
+/// A self-modifying program whose store lands in the immediate of the
+/// second of two adjacent `ldi`s. The title is part of the ROM hash the
+/// golden timeline pins.
 fn fused_smc_rom() -> Rom {
     let program: Vec<u8> = [
         Instruction::In(Reg(4), 2),          // 0x00: r4 = frame counter low
-        Instruction::Ldi(Reg(3), 0x1A),      // 0x04: imm low byte of the pair's tail
-        Instruction::Stb(Reg(3), Reg(4), 0), // 0x08: patch the fused tail
+        Instruction::Ldi(Reg(3), 0x1A),      // 0x04: imm low byte of the second ldi
+        Instruction::Stb(Reg(3), Reg(4), 0), // 0x08: patch the second ldi
         Instruction::Nop,                    // 0x0C
         Instruction::Nop,                    // 0x10
-        Instruction::Ldi(Reg(1), 0x5500),    // 0x14: fuses with the next ldi
-        Instruction::Ldi(Reg(2), 0xAA00),    // 0x18: tail; imm low byte at 0x1A
+        Instruction::Ldi(Reg(1), 0x5500),    // 0x14
+        Instruction::Ldi(Reg(2), 0xAA00),    // 0x18: imm low byte at 0x1A
         Instruction::Yield,                  // 0x1C
         Instruction::Jmp(0),                 // 0x20
     ]
@@ -315,84 +198,89 @@ fn fused_smc_rom() -> Rom {
     Rom::builder("Fused SMC Probe").image(program).build()
 }
 
-#[test]
-fn store_into_a_fused_pair_tail_invalidates_the_whole_slot() {
-    let mut fast = Console::new(fused_smc_rom()).with_cycle_budget(DEFAULT_CYCLES_PER_FRAME);
-    let mut slow = Console::new(fused_smc_rom()).with_interp_mode(InterpMode::Reference);
-
+/// Steps `rom` for 200 frames in a presented and a headless console. On
+/// frame f the program reads frame counter f and patches its own `ldi`,
+/// so `patched` must hold `0xAA00 | (f & 0xFF)` in both consoles, and the
+/// two must agree on the state hash. `check` adds per-probe assertions.
+fn run_smc_probe(rom: fn() -> Rom, patched: Reg, check: impl Fn(&Console, u64)) {
+    let mut present = Console::new(rom()).with_cycle_budget(DEFAULT_CYCLES_PER_FRAME);
+    let mut headless = Console::new(rom()).with_cycle_budget(DEFAULT_CYCLES_PER_FRAME);
     for frame in 0..200u64 {
-        fast.step_frame(InputWord::NONE);
-        slow.step_frame(InputWord::NONE);
+        present.step_frame_mode(InputWord::NONE, StepMode::Present);
+        headless.step_frame_mode(InputWord::NONE, StepMode::Headless);
         assert_eq!(
-            fast.state_hash(),
-            slow.state_hash(),
+            present.state_hash(),
+            headless.state_hash(),
             "state diverged at frame {frame}"
         );
-        // The store lands at 0x1A, seven bytes past the fused slot's own
-        // address (0x14). A naive exact-address invalidation would leave
-        // that slot warm and replay the stale pair; the register value
-        // proves the freshly patched immediate was decoded instead.
         let expect = 0xAA00 | (frame as u16 & 0x00FF);
-        assert_eq!(fast.cpu().reg(Reg(2)), expect, "frame {frame}");
-        assert_eq!(slow.cpu().reg(Reg(2)), expect, "frame {frame}");
-        assert_eq!(fast.cpu().reg(Reg(1)), 0x5500, "frame {frame}");
+        for console in [&present, &headless] {
+            assert_eq!(console.cpu().reg(patched), expect, "frame {frame}");
+            check(console, frame);
+        }
     }
-
-    let stats = fast.interp_stats().expect("console reports stats");
-    assert!(
-        stats.fused_hits > 0,
-        "the ldi+ldi pair must actually fuse (saw {} fused hits)",
-        stats.fused_hits
-    );
-    assert!(
-        stats.invalidations >= 200,
-        "each frame's store must invalidate (saw {})",
-        stats.invalidations
-    );
 }
 
-/// Dirty-bitmap fuzz lanes: the bitmap-guided capture stream and the
-/// bitmap-guided ring restore must stay byte-identical to a full-image
-/// scan of the `InterpMode::Reference` oracle — through a forced
-/// rollback, plain self-modifying code, and a fused-pair-tail patch.
+/// The store into a later `ldi`'s immediate is seen by the very next
+/// fetch of that `ldi`: the interpreter decodes straight from memory, so
+/// no stale decode can be replayed.
+#[test]
+fn self_modifying_code_invalidates_precisely_and_stays_equivalent() {
+    run_smc_probe(smc_rom, Reg(1), |_, _| {});
+}
+
+/// The store lands in the second of two adjacent `ldi`s: that one loads
+/// the patched immediate every frame, while its unpatched neighbour keeps
+/// loading its own constant.
+#[test]
+fn store_into_a_fused_pair_tail_invalidates_the_whole_slot() {
+    run_smc_probe(fused_smc_rom, Reg(2), |console, frame| {
+        assert_eq!(console.cpu().reg(Reg(1)), 0x5500, "frame {frame}");
+    });
+}
+
+/// The two ROM games and the two self-modifying probes.
+const ALL_ROMS: [(&str, MakeConsole); 4] = [
+    ("ROM Pong", rom_pong_console as MakeConsole),
+    ("Button Race", rom_race_console as MakeConsole),
+    ("SMC Probe", || {
+        Console::new(smc_rom()).with_cycle_budget(DEFAULT_CYCLES_PER_FRAME)
+    }),
+    ("Fused SMC Probe", || {
+        Console::new(fused_smc_rom()).with_cycle_budget(DEFAULT_CYCLES_PER_FRAME)
+    }),
+];
+
+/// Dirty-bitmap fuzz lanes: the bitmap-guided capture stream must stay
+/// byte-identical to a full-image scan of a second console fed the same
+/// inputs — through a forced rollback and both self-modifying probes.
 ///
-/// Each lane keeps ONE dirty capture stream (`tail`) alive on the fast
+/// Each lane keeps ONE dirty capture stream (`tail`) alive on the traced
 /// console, rewritten in place from the reported dirty ranges every
-/// frame, and diffs it against the reference console's full scan. A
-/// mid-run `load_state` checks the saturate-on-restore contract: the
-/// very next dirty capture must absorb the whole image.
+/// frame. A mid-run `load_state` checks the saturate-on-restore contract:
+/// the very next dirty capture must absorb the whole image.
 #[test]
 fn dirty_capture_stays_byte_identical_to_reference_full_scan() {
-    let lanes: [(&str, MakeConsole); 4] = [
-        ("ROM Pong", rom_pong_console),
-        ("Button Race", rom_race_console),
-        ("SMC Probe", || {
-            Console::new(smc_rom()).with_cycle_budget(DEFAULT_CYCLES_PER_FRAME)
-        }),
-        ("Fused SMC Probe", || {
-            Console::new(fused_smc_rom()).with_cycle_budget(DEFAULT_CYCLES_PER_FRAME)
-        }),
-    ];
-    for (name, build) in lanes {
-        let mut fast = build();
-        let mut slow = build().with_interp_mode(InterpMode::Reference);
+    for (name, build) in ALL_ROMS {
+        let mut traced = build();
+        let mut oracle = build();
 
         let mut tail = Vec::new();
-        fast.save_state_into(&mut tail);
+        traced.save_state_into(&mut tail);
         let mut dirty = coplay_vm::DirtyPages::default();
         let mut full = Vec::new();
         let mut snap = None;
         for frame in 0..90u64 {
             let input = input_for(frame);
-            fast.step_frame(input);
-            slow.step_frame(input);
-            fast.collect_dirty_into(&mut dirty);
-            fast.save_state_ranges_into(&mut tail, &dirty);
+            traced.step_frame(input);
+            oracle.step_frame(input);
+            traced.collect_dirty_into(&mut dirty);
+            traced.save_state_ranges_into(&mut tail, &dirty);
             full.clear();
-            slow.save_state_into(&mut full);
+            oracle.save_state_into(&mut full);
             assert_eq!(
                 tail, full,
-                "{name}: dirty capture diverged from the reference full scan at frame {frame}"
+                "{name}: dirty capture diverged from the full scan at frame {frame}"
             );
             if frame == 40 {
                 snap = Some(full.clone());
@@ -402,12 +290,12 @@ fn dirty_capture_stays_byte_identical_to_reference_full_scan() {
                 // accumulators so the next dirty capture rewrites all of
                 // `tail`, not just the resimulated frame's pages.
                 let snap = snap.as_ref().expect("snapshot taken at frame 40");
-                fast.load_state(snap).unwrap();
-                slow.load_state(snap).unwrap();
-                fast.collect_dirty_into(&mut dirty);
-                fast.save_state_ranges_into(&mut tail, &dirty);
+                traced.load_state(snap).unwrap();
+                oracle.load_state(snap).unwrap();
+                traced.collect_dirty_into(&mut dirty);
+                traced.save_state_ranges_into(&mut tail, &dirty);
                 full.clear();
-                slow.save_state_into(&mut full);
+                oracle.save_state_into(&mut full);
                 assert_eq!(
                     tail, full,
                     "{name}: capture stream incoherent right after a full restore"
@@ -417,66 +305,213 @@ fn dirty_capture_stays_byte_identical_to_reference_full_scan() {
     }
 }
 
-/// Bitmap-guided ring restores land on exactly the state the reference
-/// interpreter reaches, for both ROM games and both self-modifying
-/// probes, across a rollback depth that crosses checkpoint boundaries.
+/// Bitmap-guided ring restores land on exactly the state a from-scratch
+/// replay reaches, for both ROM games and both self-modifying probes,
+/// across a rollback depth that crosses checkpoint boundaries, and the
+/// restored console keeps tracking the replay afterwards.
 #[test]
 fn bitmap_guided_ring_restore_matches_reference_resimulation() {
-    let lanes: [(&str, MakeConsole); 4] = [
-        ("ROM Pong", rom_pong_console),
-        ("Button Race", rom_race_console),
-        ("SMC Probe", || {
-            Console::new(smc_rom()).with_cycle_budget(DEFAULT_CYCLES_PER_FRAME)
-        }),
-        ("Fused SMC Probe", || {
-            Console::new(fused_smc_rom()).with_cycle_budget(DEFAULT_CYCLES_PER_FRAME)
-        }),
-    ];
-    for (name, build) in lanes {
-        let mut fast = build();
-        let mut slow = build().with_interp_mode(InterpMode::Reference);
+    for (name, build) in ALL_ROMS {
+        let mut restored = build();
         let mut ring = coplay_rollback::SnapshotRing::new(12);
 
         for frame in 0..60u64 {
-            let input = input_for(frame);
-            fast.step_frame(input);
-            slow.step_frame(input);
+            restored.step_frame(input_for(frame));
             if frame % 4 == 0 {
-                ring.checkpoint_from(frame, fast.state_hash(), &mut fast);
+                ring.checkpoint_from(frame, restored.state_hash(), &mut restored);
             }
         }
 
-        // Rewind the fast console to the floor checkpoint of frame 49 with
-        // the O(dirty) path; rewind the oracle by replaying from scratch.
+        // Rewind to the floor checkpoint of frame 49 with the O(dirty)
+        // path; rewind the oracle by replaying from scratch.
         let mut dirty = coplay_vm::DirtyPages::default();
-        fast.collect_dirty_into(&mut dirty);
+        restored.collect_dirty_into(&mut dirty);
         let mut buf = Vec::new();
         let info = ring.rewind_into(49, &mut buf, &mut dirty).unwrap();
         assert_eq!(info.frame, 48, "{name}: floor checkpoint");
-        fast.load_state_dirty(&buf, &dirty).unwrap();
+        restored.load_state_dirty(&buf, &dirty).unwrap();
 
-        let mut oracle = build().with_interp_mode(InterpMode::Reference);
+        let mut oracle = build();
         for frame in 0..49u64 {
             oracle.step_frame(input_for(frame));
         }
         assert_eq!(
-            fast.state_hash(),
+            restored.state_hash(),
             oracle.state_hash(),
             "{name}: bitmap-guided restore diverged from a from-scratch replay"
         );
 
-        // Resimulate with corrected inputs on both interpreters; the
-        // restored fast console must track the reference exactly.
-        slow.load_state(&fast.save_state()).unwrap();
+        // Resimulate with corrected inputs; the restored console must
+        // track the replay exactly.
         for frame in 49..80u64 {
             let input = input_for(frame * 3 + 1);
-            fast.step_frame(input);
-            slow.step_frame(input);
+            restored.step_frame(input);
+            oracle.step_frame(input);
             assert_eq!(
-                fast.state_hash(),
-                slow.state_hash(),
+                restored.state_hash(),
+                oracle.state_hash(),
                 "{name}: post-restore resimulation diverged at frame {frame}"
             );
         }
+    }
+}
+
+/// Frames each ROM runs for the hash golden.
+const GOLDEN_FRAMES: u64 = 300;
+/// Frame at which every golden lane is forced through one
+/// snapshot–speculate–restore–resimulate cycle.
+const GOLDEN_RESTORE_AT: u64 = 150;
+/// Mispredicted frames stepped between the snapshot and the restore.
+const GOLDEN_SPECULATED: u64 = 20;
+
+/// One golden lane: a console stepped in one [`StepMode`] and restored
+/// either from a full image (`ring == None`) or through a checkpoint ring
+/// rewind plus `load_state_dirty`.
+struct GoldenLane {
+    label: String,
+    console: Console,
+    mode: StepMode,
+    ring: Option<coplay_rollback::SnapshotRing>,
+    restore_buf: Vec<u8>,
+    snap: Vec<u8>,
+}
+
+impl GoldenLane {
+    fn step(&mut self, frame: u64, input: InputWord) {
+        if let Some(ring) = self.ring.as_mut() {
+            // The resimulated restore frame keeps the checkpoint it
+            // was rewound to.
+            if frame.is_multiple_of(10) && ring.newest_frame() != Some(frame) {
+                let hash = self.console.state_hash();
+                ring.checkpoint_from(frame, hash, &mut self.console);
+            }
+        }
+        self.console.step_frame_mode(input, self.mode);
+    }
+
+    fn snapshot(&mut self) {
+        if self.ring.is_none() {
+            self.console.save_state_into(&mut self.snap);
+        }
+    }
+
+    fn restore(&mut self, frame: u64) {
+        match self.ring.as_mut() {
+            None => self.console.load_state(&self.snap).unwrap(),
+            Some(ring) => {
+                let mut dirty = coplay_vm::DirtyPages::default();
+                self.console.collect_dirty_into(&mut dirty);
+                let info = ring
+                    .rewind_into(frame, &mut self.restore_buf, &mut dirty)
+                    .unwrap();
+                assert_eq!(info.frame, frame, "{}: floor checkpoint", self.label);
+                self.console
+                    .load_state_dirty(&self.restore_buf, &dirty)
+                    .unwrap();
+            }
+        }
+    }
+}
+
+/// Renders one ROM's golden timeline: `spec`, `restored` and `frame`
+/// lines carry the state hash every lane agrees on, and each `frame`
+/// line also carries the presented lane's pixel digest.
+fn render_golden_rom(out: &mut String, name: &str, build: MakeConsole) {
+    use std::fmt::Write as _;
+    let mut lanes: Vec<GoldenLane> = Vec::new();
+    for (mode, ring) in [(StepMode::Present, false), (StepMode::Headless, true)] {
+        let console = build();
+        // A restore buffer already the state's length lets the first
+        // rewind take the O(dirty) path rather than a full copy.
+        let restore_buf = console.save_state();
+        lanes.push(GoldenLane {
+            label: format!("{name}/{mode:?}"),
+            console,
+            mode,
+            ring: ring.then(|| coplay_rollback::SnapshotRing::new(8)),
+            restore_buf,
+            snap: Vec::new(),
+        });
+    }
+    let agreed = |lanes: &[GoldenLane], what: &str, frame: u64| {
+        let hash = lanes[0].console.state_hash();
+        for lane in &lanes[1..] {
+            assert_eq!(
+                lane.console.state_hash(),
+                hash,
+                "{}: {what} {frame} diverged from {}",
+                lane.label,
+                lanes[0].label
+            );
+        }
+        hash
+    };
+    for frame in 0..GOLDEN_FRAMES {
+        if frame == GOLDEN_RESTORE_AT {
+            for lane in lanes.iter_mut() {
+                lane.snapshot();
+            }
+            for f in frame..frame + GOLDEN_SPECULATED {
+                for lane in lanes.iter_mut() {
+                    lane.step(f, input_for(f * 7 + 1));
+                }
+                let hash = agreed(&lanes, "spec", f);
+                writeln!(out, "{name} spec {f} {hash:016x}").unwrap();
+            }
+            for lane in lanes.iter_mut() {
+                lane.restore(frame);
+            }
+            let hash = agreed(&lanes, "restored", frame);
+            writeln!(out, "{name} restored {frame} {hash:016x}").unwrap();
+        }
+        for lane in lanes.iter_mut() {
+            lane.step(frame, input_for(frame));
+        }
+        let hash = agreed(&lanes, "frame", frame);
+        let pixels = coplay_vm::fnv1a(lanes[0].console.framebuffer().pixels());
+        writeln!(out, "{name} frame {frame} {hash:016x} {pixels:016x}").unwrap();
+    }
+}
+
+/// Behaviour pin for the console interpreter. Four ROMs — both bundled
+/// ROM games and both self-modifying probes — run [`GOLDEN_FRAMES`]
+/// frames of [`input_for`] in a presented lane restored from a full image
+/// and a headless lane restored through a checkpoint ring, with one
+/// forced restore/resimulate at [`GOLDEN_RESTORE_AT`]. Both lanes must
+/// agree on every hash, and the agreed timeline must match
+/// `tests/golden/rom_hash_golden.txt` byte for byte.
+///
+/// The golden file was recorded while the VM still had a second,
+/// predecoded-dispatch interpreter, with both lanes run on both
+/// interpreters and all four asserted equal. It is the reference the single
+/// interpreter is held to, so it must never be regenerated to make a
+/// behaviour change pass. On a mismatch the rendered text is written to
+/// `rom_hash_golden.actual.txt` under Cargo's integration-test scratch
+/// directory.
+#[test]
+fn rom_hash_timelines_match_the_recorded_golden_data() {
+    let mut actual = String::new();
+    for (name, build) in ALL_ROMS {
+        render_golden_rom(&mut actual, name, build);
+    }
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/rom_hash_golden.txt"
+    );
+    let golden = std::fs::read_to_string(golden_path).expect("golden data present");
+    if actual != golden {
+        let dump =
+            std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("rom_hash_golden.actual.txt");
+        let _ = std::fs::write(&dump, &actual);
+        let first = actual
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, g)| a != g)
+            .unwrap_or(actual.lines().count().min(golden.lines().count()));
+        panic!(
+            "interpreter behaviour drifted from the golden data at line {} (actual written to {})",
+            first + 1,
+            dump.display()
+        );
     }
 }

@@ -870,25 +870,25 @@ fn flight_recorder_wraparound_accounting_survives_concurrent_drain() {
 
 // ---------------------------------------------------------------------------
 // Dirty-page checkpointing: for any random store trace — including stores
-// that wrap the top of the address space, stores patching a fused-pair
-// tail, and self-modifying stores into the program region — a
-// dirty-bitmap-guided capture stream stays byte-for-byte identical to a
-// full-image scan, and a bitmap-guided ring restore round-trips the exact
-// `state_hash` sequence.
+// that wrap the top of the address space, stores patching a later
+// instruction's immediate, and self-modifying stores into the program
+// region — a dirty-bitmap-guided capture stream stays byte-for-byte
+// identical to a full-image scan, and a bitmap-guided ring restore
+// round-trips the exact `state_hash` sequence.
 // ---------------------------------------------------------------------------
 
-/// A program that patches a fused `ldi`+`ldi` tail, stores through the
-/// address-space wrap every frame, and then performs a random batch of
-/// word/byte stores (biased toward the program region for incidental
-/// self-modification and toward 0xFFFF for wrapping).
+/// A program that patches the second of two adjacent `ldi`s, stores
+/// through the address-space wrap every frame, and then performs a random
+/// batch of word/byte stores (biased toward the program region for
+/// incidental self-modification and toward 0xFFFF for wrapping).
 fn random_store_rom(rng: &mut DetRng) -> Rom {
     let mut prog = vec![
         Instruction::In(Reg(4), 2),          // 0x00: r4 = frame counter low
-        Instruction::Ldi(Reg(3), 0x16),      // 0x04: pair-tail imm low byte below
-        Instruction::Stb(Reg(3), Reg(4), 0), // 0x08: patch the fused tail
+        Instruction::Ldi(Reg(3), 0x16),      // 0x04: second ldi's imm low byte
+        Instruction::Stb(Reg(3), Reg(4), 0), // 0x08: patch the second ldi
         Instruction::Nop,                    // 0x0C
-        Instruction::Ldi(Reg(1), 0x5500),    // 0x10: fuses with the next ldi
-        Instruction::Ldi(Reg(2), 0xAA00),    // 0x14: tail; imm low byte at 0x16
+        Instruction::Ldi(Reg(1), 0x5500),    // 0x10
+        Instruction::Ldi(Reg(2), 0xAA00),    // 0x14: imm low byte at 0x16
         Instruction::Ldi(Reg(5), 0xFFFF),    // 0x18: top-of-memory pointer
         Instruction::Stw(Reg(5), Reg(4), 0), // 0x1C: wraps into address 0x0000
     ];
